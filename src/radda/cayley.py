@@ -162,12 +162,10 @@ def init_lowrank(problem: CareProblem,
     D0 = A_a^{-T} C' and P0 = A_a^{-1} B carry the column spaces; the
     p x p / m x m cores are the resolvents
 
-        Sigma0 = 2a (I + W0 W0')^{-1},     W0 = D0' B,
-        Gamma0 = 2a (I + V0' V0)^{-1},     V0 = C P0,
+        Sigma0 = 2a (I + W0 W0')^{-1},
+        Gamma0 = 2a (I + W0' W0)^{-1},
 
-    where W0 and V0 are the same p x m matrix computed along two routes
-    (both equal C A_a^{-1} B); keeping them separate preserves a cheap
-    consistency check.
+    where W0 = D0' B = C A_a^{-1} B is formed once and serves both cores.
     """
     D0 = shifted.solve_t(np.asarray(problem.C.T, dtype=float))
     P0 = shifted.solve(np.asarray(problem.B, dtype=float))
@@ -175,11 +173,10 @@ def init_lowrank(problem: CareProblem,
         raise ValueError("shifted solves produced non-finite values; "
                          "the shift is numerically unusable")
     W0 = D0.T @ problem.B
-    V0 = problem.C @ P0
     two_a = 2.0 * shifted.alpha
     p, m = problem.p, problem.m
     Sigma0 = two_a * np.linalg.inv(np.eye(p) + W0 @ W0.T)
-    Gamma0 = two_a * np.linalg.inv(np.eye(m) + V0.T @ V0)
+    Gamma0 = two_a * np.linalg.inv(np.eye(m) + W0.T @ W0)
     Sigma0 = (Sigma0 + Sigma0.T) / 2.0
     Gamma0 = (Gamma0 + Gamma0.T) / 2.0
     ahat0 = BaseDoublingOperator(problem, shifted, D0, P0, W0)

@@ -5,6 +5,13 @@ shifted solve plus thin corrections) and a chain of rank-p_j updates, one
 per completed step.  The solution iterates live as factor pairs
 X_k = D_k Sigma_k D_k', Y_k = P_k Gamma_k P_k' whose factors double in
 width per step while every core update happens at (p_k + m_k)-scale.
+
+The n-scale work of a step is the chain applied to the factors.  An
+untruncated step reuses the blocks the previous step appended, so it costs
+two depth-(k-1) applies of half width per side, 2 (p + m) 4^(k-1) base
+columns; K doublings from the start then cost (p + m)(1 + (4^K - 4)/6)
+columns in all.  After truncation a step falls back to one depth-k apply
+per side, 2^k (p_k + m_k) columns.
 """
 
 from __future__ import annotations
@@ -60,8 +67,8 @@ def apply_ahat(ahat: ImplicitAhat, Z: np.ndarray,
     """Apply the depth-k operator (or its transpose) to an n x t block.
 
     The recursion  A_j Z = A_{j-1}(A_{j-1} Z) + U_j (V_j' Z)  costs 2^k
-    base applies, which stays cheap for the small iteration counts the
-    quadratic convergence produces.
+    base applies of the full width of Z, which stays cheap for the small
+    iteration counts the quadratic convergence produces.
     """
     Z = np.asarray(Z, dtype=float)
     squeeze = Z.ndim == 1
@@ -88,7 +95,15 @@ def _apply_level(ahat: ImplicitAhat, j: int, Z: np.ndarray,
 @dataclass(frozen=True)
 class RaddaState:
     """One factored iterate: X_k = D Sigma D', Y_k = P Gamma P', the implicit
-    doubling operator, and the cached cross-Gram matrix D'P."""
+    doubling operator, and the cached cross-Gram matrix D'P.
+
+    doubled marks factors that are exactly the previous step's factors
+    followed by the blocks that step appended: D = [D_{k-1}, V_k] with V_k
+    the right block of the last chain correction, and P = [P_{k-1},
+    ahat_{k-1} P_{k-1}].  radda_step sets it and the next step uses it to
+    halve the operator applies; any change of the factors (truncation, a
+    rotation, a hand-built state) must leave it False.
+    """
 
     k: int
     D: np.ndarray
@@ -97,6 +112,7 @@ class RaddaState:
     Gamma: np.ndarray
     ahat: ImplicitAhat
     cross: np.ndarray
+    doubled: bool = False
 
     @property
     def rank_x(self) -> int:
@@ -120,6 +136,13 @@ def _lu_small(M: np.ndarray, k: int, what: str):
     return lu, piv
 
 
+def _first_two_powers(ahat: ImplicitAhat, Z: np.ndarray,
+                      transposed: bool) -> np.ndarray:
+    """[ahat Z, ahat^2 Z] (or the transposed powers) as one n x 2t block."""
+    S = apply_ahat(ahat, Z, transposed=transposed)
+    return np.hstack([S, apply_ahat(ahat, S, transposed=transposed)])
+
+
 def radda_step(state: RaddaState) -> RaddaState:
     """Advance the factored iterate one doubling step.
 
@@ -130,12 +153,21 @@ def radda_step(state: RaddaState) -> RaddaState:
         Sigma~ = (I + Sigma (D'Y D))^{-1} Sigma,
         Gamma~ = (I + Gamma (P'X P))^{-1} Gamma,
 
-    the factors double by one operator apply each (D gains ahat'D, P gains
-    ahat P), and the operator itself gains the thin correction
-    -[ahat (P Gamma W' Sigma (I + (D'Y D) Sigma)^{-1})] (ahat'D)', whose
-    right half is shared with the new D columns.  One LU of
-    I + Sigma (D'Y D) serves both core solves on the Sigma side, since
-    (I + (D'Y D) Sigma)' is the same matrix.
+    the factors double (D gains ahat'D, P gains ahat P), and the operator
+    itself gains the thin correction -[(ahat P) Gamma W' Sigma
+    (I + (D'Y D) Sigma)^{-1}] (ahat'D)', whose blocks are the new P and D
+    columns times an m_k x p_k core, so it needs no apply of its own.  One
+    LU of I + Sigma (D'Y D) serves both core solves on the Sigma side,
+    since (I + (D'Y D) Sigma)' is the same matrix.
+
+    On a doubled state, with prev = ahat_{k-1}, (U_k, V_k) the last
+    correction and F = prev P_{k-1} the block the last step appended to P,
+
+        ahat' D = [S, prev' S] + V_k (U_k' D),      S = prev' V_k,
+        ahat P  = [T, prev T]  + U_k (V_k' P),      T = prev F,
+
+    so each side takes two depth-(k-1) applies of half width in place of
+    one depth-k apply.  Other states apply the depth-k chain directly.
     """
     D, Sigma, P, Gamma = state.D, state.Sigma, state.P, state.Gamma
     W = state.cross
@@ -154,10 +186,17 @@ def radda_step(state: RaddaState) -> RaddaState:
     # I + (D'YD) Sigma transposes into the factor already at hand
     small = sla.lu_solve(lu_s, (Gamma @ W.T @ Sigma).T).T
 
-    D_new = apply_ahat(state.ahat, D, transposed=True)
-    P_new = apply_ahat(state.ahat, P)
-    U = -apply_ahat(state.ahat, P @ small)
-    ahat_next = state.ahat.extended(U, D_new)
+    if state.doubled:
+        prev = ImplicitAhat(state.ahat.base, state.ahat.corrections[:-1])
+        U_k, V_k = state.ahat.corrections[-1]
+        D_new = _first_two_powers(prev, V_k, transposed=True)
+        D_new += V_k @ (U_k.T @ D)
+        P_new = _first_two_powers(prev, P[:, m_k // 2:], transposed=False)
+        P_new += U_k @ (V_k.T @ P)
+    else:
+        D_new = apply_ahat(state.ahat, D, transposed=True)
+        P_new = apply_ahat(state.ahat, P)
+    ahat_next = state.ahat.extended(-(P_new @ small), D_new)
 
     cross_next = np.block([[W, D.T @ P_new],
                            [D_new.T @ P, D_new.T @ P_new]])
@@ -169,6 +208,7 @@ def radda_step(state: RaddaState) -> RaddaState:
         Gamma=sla.block_diag(Gamma, gamma_new),
         ahat=ahat_next,
         cross=cross_next,
+        doubled=True,
     )
 
 
@@ -177,39 +217,54 @@ def residual_lowrank(problem: CareProblem, D: np.ndarray, Sigma: np.ndarray,
     """Relative residual of X = D Sigma D' without forming n x n data.
 
     The residual A'X + XA - X G X + Q has column space inside
-    F = [C' | D | A'D], so a thin QR of F reduces the spectral norm to a
-    (p + 2r) x (p + 2r) symmetric eigenproblem with the indefinite core
+    F = [C' | D | A'D], so the triangular factor R of F = QR (Q is never
+    formed) reduces the spectral norm to a (p + 2r) x (p + 2r) symmetric
+    eigenproblem with the indefinite core
 
         [[ I,  0,          0     ],
          [ 0, -S W W' S,   S     ],      W = D'B,  S = Sigma,
          [ 0,  S,          0     ]].
 
     The identity needs no rank assumptions on F.  A zero ||Q||_2 triggers
-    the same absolute-residual fallback as the dense path.
+    the same absolute-residual fallback as the dense path.  Non-finite
+    entries in F raise ValueError.
     """
     D = np.asarray(D, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
-    p = problem.p
+    n, p = problem.n, problem.p
     r = D.shape[1]
     if qnorm is None:
         qnorm = _qnorm_of(problem)
-    F = np.hstack([np.asarray(problem.C.T, dtype=float), D,
-                   np.asarray(problem.A.T @ D, dtype=float)])
-    W = D.T @ problem.B
-    SW = Sigma @ W
-    S = np.zeros((p + 2 * r, p + 2 * r))
-    S[:p, :p] = np.eye(p)
-    S[p:p + r, p:p + r] = -SW @ SW.T
-    S[p:p + r, p + r:] = Sigma
-    S[p + r:, p:p + r] = Sigma
-    R = sla.qr(F, mode="economic")[1]
-    core = R @ S @ R.T
+    # F is built once, column-major, and factored in place by LAPACK
+    F = np.empty((n, p + 2 * r), order="F")
+    F[:, :p] = problem.C.T
+    F[:, p:p + r] = D
+    F[:, p + r:] = problem.A.T @ D
+    if not np.all(np.isfinite(F)):
+        raise ValueError("array must not contain infs or NaNs")
+    R = _r_factor(F)
+    # R times the block core times R', one block at a time
+    R1, R2, R3 = R[:, :p], R[:, p:p + r], R[:, p + r:]
+    G = R2 @ (Sigma @ (D.T @ problem.B))
+    M = (R2 @ Sigma) @ R3.T
+    core = R1 @ R1.T - G @ G.T + M + M.T
     num = spectral_norm_sym((core + core.T) / 2.0)
     if qnorm == 0.0:
         warnings.warn("C = 0 makes ||Q||_2 = 0; reporting the absolute "
                       "residual instead of a relative one", RuntimeWarning)
         return num
     return num / qnorm
+
+
+def _r_factor(F: np.ndarray) -> np.ndarray:
+    """R of the economic QR of a Fortran-ordered float F, overwriting F."""
+    work, info = sla.lapack.dgeqrf_lwork(*F.shape)
+    if info == 0:
+        qr, _, _, info = sla.lapack.dgeqrf(F, lwork=max(int(work), 1),
+                                           overwrite_a=True)
+    if info != 0:
+        raise RuntimeError(f"LAPACK dgeqrf failed with info={info}")
+    return np.triu(qr[:min(F.shape)])
 
 
 def truncate_factors(D: np.ndarray, Sigma: np.ndarray, tol: float):
@@ -314,7 +369,7 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
             D, Sigma = truncate_factors(state.D, state.Sigma, truncate_tol)
             P, Gamma = truncate_factors(state.P, state.Gamma, truncate_tol)
             state = replace(state, D=D, Sigma=Sigma, P=P, Gamma=Gamma,
-                            cross=D.T @ P)
+                            cross=D.T @ P, doubled=False)
         checked = (k % check_every == 0) or k == maxit
         if checked:
             res = residual_lowrank(problem, state.D, state.Sigma, qn)

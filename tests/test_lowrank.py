@@ -24,6 +24,19 @@ def lowrank_state(problem, alpha):
                       cross=init.D0.T @ init.P0)
 
 
+def uneven_problem():
+    """p = 1 output, m = 2 inputs, so the D and P sides differ in width."""
+    base = random_stable_problem(np.random.default_rng(5), 20, mp=2)
+    return CareProblem(base.A, base.B, base.C[:1])
+
+
+def rotate(D, Sigma, rng):
+    """Turn a factor pair by a random orthogonal matrix: same width and
+    same D Sigma D', but different columns."""
+    q = sla.qr(rng.standard_normal((D.shape[1],) * 2))[0]
+    return D @ q, q.T @ Sigma @ q
+
+
 def reconstruct_x(state):
     X = state.D @ state.Sigma @ state.D.T
     return (X + X.T) / 2
@@ -127,6 +140,90 @@ class TestDenseEquivalence:
         np.testing.assert_allclose(out, apply_ahat(lr.ahat, z[:, None])[:, 0])
 
 
+class TestBaseSolveColumns:
+    @pytest.fixture
+    def cols(self, monkeypatch):
+        """Running total of the columns fed to base operator applies."""
+        import radda.cayley as cayley_mod
+        total = [0]
+        op = cayley_mod.BaseDoublingOperator
+        for name in ("apply", "apply_t"):
+            orig = getattr(op, name)
+
+            def counted(self, Z, _orig=orig):
+                total[0] += Z.shape[1]
+                return _orig(self, Z)
+
+            monkeypatch.setattr(op, name, counted)
+        return total
+
+    @pytest.mark.parametrize("make, K, expected", [
+        (lambda: make_example2(64), 1, 2),
+        (lambda: make_example2(64), 2, 6),
+        (lambda: make_example2(64), 3, 22),
+        (lambda: make_example2(64), 4, 86),   # three depth-k applies: 255
+        (uneven_problem, 3, 33),
+    ])
+    def test_untruncated_run(self, cols, make, K, expected):
+        # the first step applies depth 0 to p + m columns; step k >= 1
+        # applies depth k-1 twice per side at half width, 2 (p+m) 4^(k-1)
+        p = make()
+        _, report = radda_solve(p, tol=1e-30, maxit=K)
+        assert report.iterations == K
+        assert cols[0] == expected == (p.p + p.m) * (1 + (4 ** K - 4) // 6)
+
+    def test_truncated_run(self, cols):
+        # truncation rebuilds the factors, so each step applies the full
+        # depth-k chain once per side: 2^k (r_x + r_y) columns
+        _, report = radda_solve(make_example1(2000), truncate_tol=1e-13)
+        assert report.termination == "converged"
+        steps = report.rank_history[:-1]
+        assert cols[0] == sum(2 ** k * (rx + ry) for k, rx, ry in steps)
+        assert cols[0] == 42       # two thirds of the 63 a third apply gave
+
+
+class TestModifiedFactors:
+    @pytest.mark.parametrize("make, alpha", [
+        (lambda: make_example2(24), 18.0),
+        (uneven_problem, None),
+    ])
+    def test_step_from_rotated_factors(self, make, alpha):
+        p = make()
+        alpha = choose_alpha(p) if alpha is None else alpha
+        lr = lowrank_state(p, alpha)
+        dn = AddaDenseState(0, *init_dense(p, build_shifted(p, alpha)))
+        for _ in range(2):
+            lr = radda_step(lr)
+            dn = adda_step_dense(dn)
+        assert lr.doubled
+        rng = np.random.default_rng(7)
+        D, Sigma = rotate(lr.D, lr.Sigma, rng)
+        P, Gamma = rotate(lr.P, lr.Gamma, rng)
+        lr = radda_step(RaddaState(lr.k, D, Sigma, P, Gamma, lr.ahat, D.T @ P))
+        dn = adda_step_dense(dn)
+        assert lr.rank_x == 8 * p.p and lr.rank_y == 8 * p.m
+        for got, want in ((reconstruct_x(lr), dn.X), (reconstruct_y(lr), dn.Y)):
+            assert np.linalg.norm(got - want, "fro") <= \
+                1e-10 * np.linalg.norm(want, "fro")
+
+    def test_width_preserving_truncation_in_solve(self, monkeypatch):
+        # a recompression that keeps every column still changes the
+        # factors, so the solve must not treat them as freshly doubled
+        import radda.lowrank as lowrank_mod
+        rng = np.random.default_rng(3)
+        p = make_example2(64)
+        x_ref, ref = radda_solve(p)
+        monkeypatch.setattr(lowrank_mod, "truncate_factors",
+                            lambda D, Sigma, tol: rotate(D, Sigma, rng))
+        x, report = lowrank_mod.radda_solve(p, truncate_tol=1e-13,
+                                            maxit=ref.iterations)
+        assert report.termination == "converged"
+        assert report.rank_history == ref.rank_history
+        X_ref = x_ref.reconstruct()
+        assert np.linalg.norm(x.reconstruct() - X_ref, "fro") <= \
+            1e-10 * np.linalg.norm(X_ref, "fro")
+
+
 class TestResidualLowrank:
     def test_agrees_with_dense_residual(self):
         p = make_example1(40)
@@ -156,6 +253,14 @@ class TestResidualLowrank:
             r = residual_lowrank(p, D, np.eye(1))
         # X = ones: A'X + XA - X(BB')X = -2*ones - 16*ones, norm 18*4
         assert r == pytest.approx(72.0, rel=1e-12)
+
+    def test_non_finite_factor_rejected(self):
+        p = make_example2(12)
+        D = np.ones((12, 2))
+        D[3, 1] = np.nan
+        # rejected before the QR, with scipy's finiteness-check message
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            residual_lowrank(p, D, np.eye(2))
 
     def test_cached_qnorm_short_circuit(self):
         p = make_example2(15)
