@@ -22,7 +22,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .problems import CareProblem, DENSE_CAP, SizeCapError
+from .problems import CareProblem
 
 
 class ShiftSingularError(RuntimeError):
@@ -141,73 +141,3 @@ class BaseDoublingOperator:
         v = self._shifted.solve_t(Z)
         h = sla.cho_solve(self._chol, self._B.T @ v)
         return Z + self._two_alpha * (v - self._E0 @ h)
-
-
-@dataclass(frozen=True)
-class InitialData:
-    """Depth-0 data of the factored iteration: X0 = D0 Sigma0 D0',
-    Y0 = P0 Gamma0 P0', and the matrix-free starting operator."""
-
-    D0: np.ndarray
-    Sigma0: np.ndarray
-    P0: np.ndarray
-    Gamma0: np.ndarray
-    ahat0: BaseDoublingOperator
-
-
-def init_lowrank(problem: CareProblem,
-                 shifted: ShiftedFactorization) -> InitialData:
-    """Build the factored starting iterates without any n x n algebra.
-
-    D0 = A_a^{-T} C' and P0 = A_a^{-1} B carry the column spaces; the
-    p x p / m x m cores are the resolvents
-
-        Sigma0 = 2a (I + W0 W0')^{-1},
-        Gamma0 = 2a (I + W0' W0)^{-1},
-
-    where W0 = D0' B = C A_a^{-1} B is formed once and serves both cores.
-    """
-    D0 = shifted.solve_t(np.asarray(problem.C.T, dtype=float))
-    P0 = shifted.solve(np.asarray(problem.B, dtype=float))
-    if not (np.all(np.isfinite(D0)) and np.all(np.isfinite(P0))):
-        raise ValueError("shifted solves produced non-finite values; "
-                         "the shift is numerically unusable")
-    W0 = D0.T @ problem.B
-    two_a = 2.0 * shifted.alpha
-    p, m = problem.p, problem.m
-    Sigma0 = two_a * np.linalg.inv(np.eye(p) + W0 @ W0.T)
-    Gamma0 = two_a * np.linalg.inv(np.eye(m) + W0.T @ W0)
-    Sigma0 = (Sigma0 + Sigma0.T) / 2.0
-    Gamma0 = (Gamma0 + Gamma0.T) / 2.0
-    ahat0 = BaseDoublingOperator(problem, shifted, D0, P0, W0)
-    return InitialData(D0=D0, Sigma0=Sigma0, P0=P0, Gamma0=Gamma0,
-                       ahat0=ahat0)
-
-
-def init_dense(problem: CareProblem, shifted: ShiftedFactorization,
-               cap: int = DENSE_CAP):
-    """Dense starting triple (Ahat0, X0, Y0) for the reference iteration:
-
-        Ahat0 = I + 2a V_a^{-1},
-        X0    = 2a U_a^{-1} Q A_a^{-1},
-        Y0    = 2a A_a^{-1} G U_a^{-1},
-
-    with X0, Y0 symmetrized.  Desk-scale only (n <= cap).
-    """
-    n = problem.n
-    if n > cap:
-        raise SizeCapError(f"n={n} exceeds the dense cap {cap}")
-    alpha = shifted.alpha
-    A = problem.a_dense()
-    G = problem.B @ problem.B.T
-    Q = problem.C.T @ problem.C
-    Aa = A - alpha * np.eye(n)
-    Aa_inv = np.linalg.inv(Aa)
-    Ua = Aa.T + Q @ Aa_inv @ G
-    Va = Aa + G @ Aa_inv.T @ Q
-    Ahat0 = np.eye(n) + 2.0 * alpha * np.linalg.inv(Va)
-    X0 = 2.0 * alpha * np.linalg.solve(Ua, Q @ Aa_inv)
-    Y0 = 2.0 * alpha * (Aa_inv @ np.linalg.solve(Ua.T, G).T)
-    X0 = (X0 + X0.T) / 2.0
-    Y0 = (Y0 + Y0.T) / 2.0
-    return Ahat0, X0, Y0

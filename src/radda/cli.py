@@ -23,14 +23,11 @@ from time import perf_counter
 
 import numpy as np
 
-from .cayley import ShiftSingularError, build_shifted, choose_alpha, \
-    init_dense, init_lowrank
-from .dense import AddaDenseState, SingularUpdateError, adda_solve_dense, \
-    adda_step_dense
-from .lowrank import BreakdownError, ImplicitAhat, RaddaState, radda_solve, \
-    radda_step, residual_lowrank
-from .problems import CareProblem, DENSE_CAP, SizeCapError, make_example1, \
-    make_example2, qnorm, residual_dense
+from .cayley import ShiftSingularError, build_shifted, choose_alpha
+from .dense import adda_solve_dense, adda_step_dense, init_dense
+from .lowrank import init_lowrank, radda_solve, radda_step, residual_lowrank
+from .problems import BreakdownError, CareProblem, DENSE_CAP, SizeCapError, \
+    drive, iterate, make_example1, make_example2, qnorm, residual_dense
 from .serialize import load_problem
 
 EXIT_OK = 0
@@ -115,6 +112,15 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _solve(problem: CareProblem, config: RunConfig):
+    """One solve in config.mode ("lowrank" or "dense"): (solution, report)."""
+    if config.mode == "dense":
+        return adda_solve_dense(problem, alpha=config.alpha, tol=config.tol,
+                                maxit=config.maxit, cap=config.dense_cap)
+    return radda_solve(problem, alpha=config.alpha, tol=config.tol,
+                       maxit=config.maxit, truncate_tol=config.truncate_tol)
+
+
 def cmd_run(config: RunConfig) -> int:
     """One solve; emits the per-iteration trajectory."""
     problem = _load(config)
@@ -123,28 +129,19 @@ def cmd_run(config: RunConfig) -> int:
               f"(got n={problem.n}); use --mode lowrank")
         return EXIT_USAGE
 
-    partial = None
+    report = None
     code = EXIT_OK
     try:
-        if config.mode == "lowrank":
-            _, report = radda_solve(problem, alpha=config.alpha,
-                                    tol=config.tol, maxit=config.maxit,
-                                    truncate_tol=config.truncate_tol)
-        else:
-            _, report = adda_solve_dense(problem, alpha=config.alpha,
-                                         tol=config.tol, maxit=config.maxit,
-                                         cap=config.dense_cap)
+        _, report = _solve(problem, config)
+        if report.termination != "converged":
+            code = EXIT_NOT_CONVERGED
     except BreakdownError as exc:
         _info(f"error: {exc}")
-        partial = exc.report
+        report = exc.report
         code = EXIT_BREAKDOWN
-    except (ShiftSingularError, SingularUpdateError) as exc:
+    except ShiftSingularError as exc:
         _info(f"error: {exc}")
         code = EXIT_BREAKDOWN
-    if code == EXIT_OK and report.termination != "converged":
-        code = EXIT_NOT_CONVERGED
-    if code == EXIT_BREAKDOWN:
-        report = partial
 
     if report is not None:
         res_at = dict(report.residual_history)
@@ -180,39 +177,34 @@ def cmd_compare(config: RunConfig) -> int:
         return EXIT_USAGE
 
     alpha = choose_alpha(problem) if config.alpha is None else config.alpha
+    qn = qnorm(problem)
     rows = []
-    max_dev = 0.0
-    code = EXIT_OK
+
+    def residuals(pair):
+        lr, dn = pair
+        res_lr = residual_lowrank(problem, lr.D, lr.Sigma, qn)
+        res_dn = residual_dense(problem, dn.X)
+        scale = np.linalg.norm(dn.X, "fro")
+        dev = np.linalg.norm(lr.D @ lr.Sigma @ lr.D.T - dn.X,
+                             "fro") / (scale or 1.0)
+        rows.append((lr.k, float(res_lr), float(res_dn), float(dev)))
+        return max(res_lr, res_dn)
+
     try:
         shifted = build_shifted(problem, alpha)
-        init = init_lowrank(problem, shifted)
-        lr = RaddaState(k=0, D=init.D0, Sigma=init.Sigma0, P=init.P0,
-                        Gamma=init.Gamma0,
-                        ahat=ImplicitAhat(base=init.ahat0),
-                        cross=init.D0.T @ init.P0)
-        ahat0, X0, Y0 = init_dense(problem, shifted, cap=config.dense_cap)
-        dn = AddaDenseState(k=0, ahat=ahat0, X=X0, Y=Y0)
-        qn = qnorm(problem)
-        converged = False
-        for k in range(config.maxit + 1):
-            if k > 0:
-                lr = radda_step(lr)
-                dn = adda_step_dense(dn)
-            X_lr = lr.D @ lr.Sigma @ lr.D.T
-            res_lr = residual_lowrank(problem, lr.D, lr.Sigma, qn)
-            res_dn = residual_dense(problem, dn.X)
-            scale = np.linalg.norm(dn.X, "fro")
-            dev = np.linalg.norm(X_lr - dn.X, "fro") / (scale or 1.0)
-            max_dev = max(max_dev, dev)
-            rows.append((k, float(res_lr), float(res_dn), float(dev)))
-            if res_lr <= config.tol and res_dn <= config.tol:
-                converged = True
-                break
-        if not converged:
-            code = EXIT_NOT_CONVERGED
-    except (BreakdownError, ShiftSingularError, SingularUpdateError) as exc:
+        pairs = zip(iterate(init_lowrank(problem, shifted), radda_step),
+                    iterate(init_dense(problem, shifted,
+                                       cap=config.dense_cap),
+                            adda_step_dense))
+        _, report = drive(pairs, residuals,
+                          lambda pair: (pair[0].rank_x, pair[0].rank_y),
+                          config.tol, config.maxit, perf_counter())
+        converged = report.termination == "converged"
+        code = EXIT_OK if converged else EXIT_NOT_CONVERGED
+    except (BreakdownError, ShiftSingularError) as exc:
         _info(f"error: {exc}")
         code = EXIT_BREAKDOWN
+    max_dev = max((row[3] for row in rows), default=0.0)
 
     if config.fmt == "csv":
         _emit(_csv(COMPARE_HEADER, rows), config.out)
@@ -251,14 +243,7 @@ def cmd_sweep(config: RunConfig, sizes: list, alphas: list) -> int:
             t0 = perf_counter()
             try:
                 problem = _load(cfg)
-                if cfg.mode == "dense":
-                    _, report = adda_solve_dense(
-                        problem, alpha=a, tol=cfg.tol, maxit=cfg.maxit,
-                        cap=cfg.dense_cap)
-                else:
-                    _, report = radda_solve(
-                        problem, alpha=a, tol=cfg.tol, maxit=cfg.maxit,
-                        truncate_tol=cfg.truncate_tol)
+                _, report = _solve(problem, cfg)
                 elapsed = perf_counter() - t0
                 res = report.residual_history[-1][1]
                 a_used = choose_alpha(problem) if a is None else a

@@ -1,5 +1,4 @@
-"""Dense reference implementation of the doubling iteration, plus the
-closed-form and structure verifiers used to cross-check the low-rank engine.
+"""Dense reference implementation of the doubling iteration.
 
 Everything here is desk-scale (n capped) on purpose: it exists to arbitrate,
 not to compete.
@@ -14,13 +13,12 @@ from time import perf_counter
 import numpy as np
 import scipy.linalg as sla
 
-from .cayley import build_shifted, choose_alpha, init_dense
-from .problems import (CareProblem, DENSE_CAP, ORACLE_CAP, SizeCapError,
-                       SolveReport, care_oracle_small, dual_problem,
-                       residual_dense)
+from .cayley import ShiftedFactorization, build_shifted, choose_alpha
+from .problems import (BreakdownError, CareProblem, DENSE_CAP, SizeCapError,
+                       drive, iterate, residual_dense)
 
 
-class SingularUpdateError(RuntimeError):
+class SingularUpdateError(BreakdownError):
     """The inner update matrix I + Y_k X_k was numerically singular."""
 
 
@@ -32,6 +30,35 @@ class AddaDenseState:
     ahat: np.ndarray
     X: np.ndarray
     Y: np.ndarray
+
+
+def init_dense(problem: CareProblem, shifted: ShiftedFactorization,
+               cap: int = DENSE_CAP) -> AddaDenseState:
+    """Dense starting iterate (Ahat0, X0, Y0) of the reference iteration:
+
+        Ahat0 = I + 2a V_a^{-1},
+        X0    = 2a U_a^{-1} Q A_a^{-1},
+        Y0    = 2a A_a^{-1} G U_a^{-1},
+
+    with X0, Y0 symmetrized.  Desk-scale only (n <= cap).
+    """
+    n = problem.n
+    if n > cap:
+        raise SizeCapError(f"n={n} exceeds the dense cap {cap}")
+    alpha = shifted.alpha
+    A = problem.a_dense()
+    G = problem.B @ problem.B.T
+    Q = problem.C.T @ problem.C
+    Aa = A - alpha * np.eye(n)
+    Aa_inv = np.linalg.inv(Aa)
+    Ua = Aa.T + Q @ Aa_inv @ G
+    Va = Aa + G @ Aa_inv.T @ Q
+    Ahat0 = np.eye(n) + 2.0 * alpha * np.linalg.inv(Va)
+    X0 = 2.0 * alpha * np.linalg.solve(Ua, Q @ Aa_inv)
+    Y0 = 2.0 * alpha * (Aa_inv @ np.linalg.solve(Ua.T, G).T)
+    X0 = (X0 + X0.T) / 2.0
+    Y0 = (Y0 + Y0.T) / 2.0
+    return AddaDenseState(k=0, ahat=Ahat0, X=X0, Y=Y0)
 
 
 def adda_step_dense(state: AddaDenseState) -> AddaDenseState:
@@ -49,13 +76,14 @@ def adda_step_dense(state: AddaDenseState) -> AddaDenseState:
     K = np.eye(n) + Y @ X
     if not np.all(np.isfinite(K)):
         raise SingularUpdateError(
-            f"I + Y X has non-finite entries at iteration {state.k}")
+            f"I + Y X has non-finite entries at iteration {state.k}",
+            k=state.k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
         lu, piv = sla.lu_factor(K)
     if np.abs(np.diag(lu)).min() == 0.0:
         raise SingularUpdateError(
-            f"I + Y X is singular at iteration {state.k}")
+            f"I + Y X is singular at iteration {state.k}", k=state.k)
     ahat_next = ahat @ sla.lu_solve((lu, piv), ahat)
     X_next = X + ahat.T @ sla.lu_solve((lu, piv), X @ ahat, trans=1)
     Y_next = Y + ahat @ (Y @ sla.lu_solve((lu, piv), ahat.T, trans=1))
@@ -69,138 +97,23 @@ def adda_solve_dense(problem: CareProblem, *, alpha: float | None = None,
                      cap: int = DENSE_CAP):
     """Dense doubling driver; returns (X, SolveReport).
 
-    Mirrors the low-rank driver's stopping rule (relative residual <= tol)
-    and report layout so the two modes can be compared row by row.  The
-    rank columns of the report carry the numerical ranks of the dense
-    iterates, computed outside the timed sections.
+    Shares the low-rank driver's loop, stopping rule (relative residual
+    <= tol) and report layout, so the two modes can be compared row by
+    row.  The rank columns of the report carry the numerical ranks of the
+    dense iterates.  A SingularUpdateError carries the partial report in
+    .report.
     """
     if problem.n > cap:
         raise SizeCapError(f"n={problem.n} exceeds the dense cap {cap}")
     if tol <= 0.0 or maxit < 1:
         raise ValueError("tol must be positive and maxit at least 1")
-    report = SolveReport()
     t0 = perf_counter()
     a = choose_alpha(problem) if alpha is None else float(alpha)
-    shifted = build_shifted(problem, a)
-    ahat0, X0, Y0 = init_dense(problem, shifted, cap=cap)
-    state = AddaDenseState(k=0, ahat=ahat0, X=X0, Y=Y0)
-    res = residual_dense(problem, state.X)
-    report.residual_history.append((0, res))
-    report.wall_times.append(perf_counter() - t0)
-    report.rank_history.append((0, int(np.linalg.matrix_rank(state.X)),
-                                int(np.linalg.matrix_rank(state.Y))))
-    if res <= tol:
-        report.termination = "converged"
-        return state.X, report
-    for k in range(1, maxit + 1):
-        t1 = perf_counter()
-        try:
-            state = adda_step_dense(state)
-        except SingularUpdateError:
-            report.iterations = k - 1
-            report.termination = "breakdown"
-            raise
-        res = residual_dense(problem, state.X)
-        report.residual_history.append((k, res))
-        report.wall_times.append(perf_counter() - t1)
-        report.rank_history.append((k, int(np.linalg.matrix_rank(state.X)),
-                                    int(np.linalg.matrix_rank(state.Y))))
-        if res <= tol:
-            report.termination = "converged"
-            break
-    else:
-        report.termination = "max-iterations"
-    report.iterations = state.k
+    state = init_dense(problem, build_shifted(problem, a), cap=cap)
+    state, report = drive(
+        iterate(state, adda_step_dense),
+        lambda s: residual_dense(problem, s.X),
+        lambda s: (int(np.linalg.matrix_rank(s.X)),
+                   int(np.linalg.matrix_rank(s.Y))),
+        tol, maxit, t0)
     return state.X, report
-
-
-@dataclass(frozen=True)
-class VerificationContext:
-    """Ground-truth data for closed-form iterate checks: the stabilizing
-    solutions of the primal and dual equations, the closed-loop matrices
-    R = A - G X*, S = A' - Q Y*, and their Cayley transforms."""
-
-    Xstar: np.ndarray
-    Ystar: np.ndarray
-    R: np.ndarray
-    S: np.ndarray
-    CR: np.ndarray
-    CS: np.ndarray
-
-
-def _cayley(M: np.ndarray, alpha: float) -> np.ndarray:
-    n = M.shape[0]
-    shifted = M - alpha * np.eye(n)
-    try:
-        return np.linalg.solve(shifted, M + alpha * np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"Cayley transform undefined: matrix - {alpha} I is singular"
-        ) from exc
-
-
-def build_verification_context(problem: CareProblem, alpha: float,
-                               cap: int = ORACLE_CAP) -> VerificationContext:
-    """Assemble the oracle solutions and Cayley transforms once per problem."""
-    Xstar = care_oracle_small(problem, cap=cap)
-    Ystar = care_oracle_small(dual_problem(problem), cap=cap)
-    A = problem.a_dense()
-    G = problem.B @ problem.B.T
-    Q = problem.C.T @ problem.C
-    R = A - G @ Xstar
-    S = A.T - Q @ Ystar
-    return VerificationContext(Xstar=Xstar, Ystar=Ystar, R=R, S=S,
-                               CR=_cayley(R, alpha), CS=_cayley(S, alpha))
-
-
-@dataclass(frozen=True)
-class DoublingIdentityReport:
-    """Frobenius deviations of the two closed forms at one iterate, plus
-    the spectral radius of the closed-loop Cayley transform."""
-
-    k: int
-    dev_ahat: float
-    dev_gap: float
-    rho_cayley: float
-
-
-def verify_doubling_identities(state: AddaDenseState,
-                               ctx: VerificationContext) -> DoublingIdentityReport:
-    """Measure how well an iterate matches its closed form.
-
-    The doubling operator satisfies  ahat_k = (I + Y_k X*) Ck(R)  and the
-    error obeys  X* - X_k = (I + X_k Y*) Ck(S) X* Ck(R),  where Ck(.) is
-    the 2^k-th power of the Cayley transform of the closed-loop matrix.
-    Both identities hold at k = 0 as well.
-    """
-    n = state.X.shape[0]
-    e = 2 ** state.k
-    CRk = np.linalg.matrix_power(ctx.CR, e)
-    CSk = np.linalg.matrix_power(ctx.CS, e)
-    I = np.eye(n)
-    dev_ahat = float(np.linalg.norm(
-        state.ahat - (I + state.Y @ ctx.Xstar) @ CRk, "fro"))
-    dev_gap = float(np.linalg.norm(
-        (ctx.Xstar - state.X) - (I + state.X @ ctx.Ystar) @ CSk @ ctx.Xstar @ CRk,
-        "fro"))
-    rho = float(np.abs(np.linalg.eigvals(ctx.CR)).max())
-    return DoublingIdentityReport(k=state.k, dev_ahat=dev_ahat,
-                                  dev_gap=dev_gap, rho_cayley=rho)
-
-
-def verify_symplectic_pencil(state: AddaDenseState) -> float:
-    """Normalized deviation || M J M' - L J L' ||_F / ||M||_F^2 of the pencil
-
-        M = [[ahat, 0], [-X, I]],      L = [[I, Y], [0, ahat']],
-
-    which vanishes identically when X and Y are symmetric — a structural
-    invariant of every iterate.
-    """
-    n = state.X.shape[0]
-    I = np.eye(n)
-    Z = np.zeros((n, n))
-    M = np.block([[state.ahat, Z], [-state.X, I]])
-    L = np.block([[I, state.Y], [Z, state.ahat.T]])
-    J = np.block([[Z, I], [-I, Z]])
-    dev = np.linalg.norm(M @ J @ M.T - L @ J @ L.T, "fro")
-    return float(dev / np.linalg.norm(M, "fro") ** 2)

@@ -23,23 +23,10 @@ from time import perf_counter
 import numpy as np
 import scipy.linalg as sla
 
-from .cayley import BaseDoublingOperator, build_shifted, choose_alpha, \
-    init_lowrank
-from .problems import CareProblem, LowRankSymmetric, SolveReport, \
-    qnorm as _qnorm_of, spectral_norm_sym
-
-
-class BreakdownError(RuntimeError):
-    """A small-core solve failed during a factored step.
-
-    Carries the iteration index k; when raised out of radda_solve the
-    partial report accumulated so far is attached as .report.
-    """
-
-    def __init__(self, message: str, k: int, report: SolveReport | None = None):
-        super().__init__(message)
-        self.k = k
-        self.report = report
+from .cayley import BaseDoublingOperator, ShiftedFactorization, \
+    build_shifted, choose_alpha
+from .problems import BreakdownError, CareProblem, LowRankSymmetric, drive, \
+    iterate, qnorm as _qnorm_of, spectral_norm_sym
 
 
 @dataclass(frozen=True)
@@ -121,6 +108,36 @@ class RaddaState:
     @property
     def rank_y(self) -> int:
         return self.P.shape[1]
+
+
+def init_lowrank(problem: CareProblem,
+                 shifted: ShiftedFactorization) -> RaddaState:
+    """Build the factored k = 0 iterate without any n x n algebra.
+
+    D0 = A_a^{-T} C' and P0 = A_a^{-1} B carry the column spaces; the
+    p x p / m x m cores are the resolvents
+
+        Sigma0 = 2a (I + W0 W0')^{-1},
+        Gamma0 = 2a (I + W0' W0)^{-1},
+
+    where W0 = D0' B = C A_a^{-1} B is formed once and serves both cores
+    and the base operator.
+    """
+    D0 = shifted.solve_t(np.asarray(problem.C.T, dtype=float))
+    P0 = shifted.solve(np.asarray(problem.B, dtype=float))
+    if not (np.all(np.isfinite(D0)) and np.all(np.isfinite(P0))):
+        raise ValueError("shifted solves produced non-finite values; "
+                         "the shift is numerically unusable")
+    W0 = D0.T @ problem.B
+    two_a = 2.0 * shifted.alpha
+    p, m = problem.p, problem.m
+    Sigma0 = two_a * np.linalg.inv(np.eye(p) + W0 @ W0.T)
+    Gamma0 = two_a * np.linalg.inv(np.eye(m) + W0.T @ W0)
+    Sigma0 = (Sigma0 + Sigma0.T) / 2.0
+    Gamma0 = (Gamma0 + Gamma0.T) / 2.0
+    ahat0 = BaseDoublingOperator(problem, shifted, D0, P0, W0)
+    return RaddaState(k=0, D=D0, Sigma=Sigma0, P=P0, Gamma=Gamma0,
+                      ahat=ImplicitAhat(base=ahat0), cross=D0.T @ P0)
 
 
 def _lu_small(M: np.ndarray, k: int, what: str):
@@ -292,7 +309,7 @@ def truncate_factors(D: np.ndarray, Sigma: np.ndarray, tol: float):
 
 def radda_solve(problem: CareProblem, *, alpha: float | None = None,
                 tol: float = 1e-12, maxit: int = 30,
-                truncate_tol: float = 0.0, check_every: int = 1):
+                truncate_tol: float = 0.0):
     """Solve the Riccati equation in factored form by doubling.
 
     Parameters
@@ -310,10 +327,6 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         Relative eigenvalue cutoff for per-step factor recompression.
         0 (default) disables truncation and the factor widths double
         exactly each step.
-    check_every : int
-        Evaluate the residual every this many steps (the final step is
-        always checked).  Values above 1 trade stopping granularity for
-        fewer residual evaluations.
 
     Returns
     -------
@@ -332,54 +345,24 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         raise ValueError(f"tol must be positive, got {tol}")
     if maxit < 1:
         raise ValueError(f"maxit must be at least 1, got {maxit}")
-    if check_every < 1:
-        raise ValueError(f"check_every must be at least 1, got {check_every}")
     if truncate_tol < 0.0:
         raise ValueError(
             f"truncation tolerance must be >= 0, got {truncate_tol}")
 
-    report = SolveReport()
+    def truncated_step(state):
+        state = radda_step(state)
+        D, Sigma = truncate_factors(state.D, state.Sigma, truncate_tol)
+        P, Gamma = truncate_factors(state.P, state.Gamma, truncate_tol)
+        return replace(state, D=D, Sigma=Sigma, P=P, Gamma=Gamma,
+                       cross=D.T @ P, doubled=False)
+
     t0 = perf_counter()
     a = choose_alpha(problem) if alpha is None else float(alpha)
-    shifted = build_shifted(problem, a)
-    init = init_lowrank(problem, shifted)
-    state = RaddaState(k=0, D=init.D0, Sigma=init.Sigma0, P=init.P0,
-                       Gamma=init.Gamma0,
-                       ahat=ImplicitAhat(base=init.ahat0),
-                       cross=init.D0.T @ init.P0)
+    state = init_lowrank(problem, build_shifted(problem, a))
     qn = _qnorm_of(problem)
-    res = residual_lowrank(problem, state.D, state.Sigma, qn)
-    report.residual_history.append((0, res))
-    report.wall_times.append(perf_counter() - t0)
-    report.rank_history.append((0, state.rank_x, state.rank_y))
-    if res <= tol:
-        report.termination = "converged"
-        return LowRankSymmetric(state.D, state.Sigma), report
-
-    for k in range(1, maxit + 1):
-        t1 = perf_counter()
-        try:
-            state = radda_step(state)
-        except BreakdownError as exc:
-            report.iterations = k - 1
-            report.termination = "breakdown"
-            exc.report = report
-            raise
-        if truncate_tol > 0.0:
-            D, Sigma = truncate_factors(state.D, state.Sigma, truncate_tol)
-            P, Gamma = truncate_factors(state.P, state.Gamma, truncate_tol)
-            state = replace(state, D=D, Sigma=Sigma, P=P, Gamma=Gamma,
-                            cross=D.T @ P, doubled=False)
-        checked = (k % check_every == 0) or k == maxit
-        if checked:
-            res = residual_lowrank(problem, state.D, state.Sigma, qn)
-            report.residual_history.append((k, res))
-        report.wall_times.append(perf_counter() - t1)
-        report.rank_history.append((k, state.rank_x, state.rank_y))
-        if checked and res <= tol:
-            report.termination = "converged"
-            break
-    else:
-        report.termination = "max-iterations"
-    report.iterations = state.k
+    state, report = drive(
+        iterate(state, truncated_step if truncate_tol > 0.0 else radda_step),
+        lambda s: residual_lowrank(problem, s.D, s.Sigma, qn),
+        lambda s: (s.rank_x, s.rank_y),
+        tol, maxit, t0)
     return LowRankSymmetric(state.D, state.Sigma), report

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
+from time import perf_counter
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +38,20 @@ class NoStabilizingSolutionError(RuntimeError):
 
 class ConditioningError(RuntimeError):
     """The stable invariant-subspace basis is too ill-conditioned to invert."""
+
+
+class BreakdownError(RuntimeError):
+    """A small-core solve failed during a doubling step.
+
+    Carries the iteration index k; when raised out of a solve the partial
+    report accumulated so far is attached as .report.
+    """
+
+    def __init__(self, message: str, k: int,
+                 report: SolveReport | None = None):
+        super().__init__(message)
+        self.k = k
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -131,6 +147,43 @@ class SolveReport:
     rank_history: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
     termination: str = "converged"
+
+
+def iterate(state, step):
+    """The iterates state, step(state), step(step(state)), ... on demand."""
+    while True:
+        yield state
+        state = step(state)
+
+
+def drive(iterates, residual, ranks, tol: float, maxit: int, t0: float):
+    """Run a doubling iteration under the shared stopping rule.
+
+    Takes the k = 0 iterate and up to maxit more from iterates, stopping
+    at the first whose residual(state) is at most tol.  Returns the last
+    iterate taken and its SolveReport: wall_times[0] runs from t0, and
+    ranks(state), a pair of factor ranks, is evaluated outside the timed
+    sections.  A BreakdownError out of a step leaves with the partial
+    report attached and termination "breakdown".
+    """
+    report = SolveReport(termination="max-iterations")
+    start = t0
+    try:
+        for k, state in enumerate(islice(iterates, maxit + 1)):
+            res = residual(state)
+            report.residual_history.append((k, res))
+            report.wall_times.append(perf_counter() - start)
+            report.rank_history.append((k, *ranks(state)))
+            report.iterations = k
+            if res <= tol:
+                report.termination = "converged"
+                break
+            start = perf_counter()
+    except BreakdownError as exc:
+        report.termination = "breakdown"
+        exc.report = report
+        raise
+    return state, report
 
 
 def make_example1(n: int) -> CareProblem:

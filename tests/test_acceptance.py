@@ -19,12 +19,12 @@ import numpy as np
 
 import conftest
 from conftest import random_stable_problem, scalar_problem
-from radda import (AddaDenseState, ImplicitAhat, RaddaState, adda_step_dense,
-                   adda_solve_dense, build_shifted, build_verification_context,
+from radda import (adda_step_dense, adda_solve_dense, build_shifted,
                    care_oracle_small, choose_alpha, dual_problem, init_dense,
                    init_lowrank, make_example1, make_example2, qnorm,
-                   radda_solve, radda_step, residual_dense, residual_lowrank,
-                   verify_doubling_identities, verify_symplectic_pencil)
+                   radda_solve, radda_step, residual_dense, residual_lowrank)
+from verification import (build_verification_context,
+                          verify_doubling_identities, verify_symplectic_pencil)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -56,17 +56,11 @@ def criterion(num, label):
 
 
 def lowrank_state(problem, alpha):
-    sf = build_shifted(problem, alpha)
-    init = init_lowrank(problem, sf)
-    return RaddaState(k=0, D=init.D0, Sigma=init.Sigma0, P=init.P0,
-                      Gamma=init.Gamma0, ahat=ImplicitAhat(base=init.ahat0),
-                      cross=init.D0.T @ init.P0)
+    return init_lowrank(problem, build_shifted(problem, alpha))
 
 
 def dense_state(problem, alpha):
-    sf = build_shifted(problem, alpha)
-    ahat0, X0, Y0 = init_dense(problem, sf)
-    return AddaDenseState(k=0, ahat=ahat0, X=X0, Y=Y0)
+    return init_dense(problem, build_shifted(problem, alpha))
 
 
 def reconstruct(F, S):

@@ -66,39 +66,43 @@ class TestInitLowRank:
     def test_scalar_values(self):
         p = scalar_problem()
         init = init_lowrank(p, build_shifted(p, 1.0))
-        assert init.D0[0, 0] == pytest.approx(-0.5, abs=1e-15)
-        assert init.P0[0, 0] == pytest.approx(-0.5, abs=1e-15)
-        assert init.Sigma0[0, 0] == pytest.approx(1.6, abs=1e-15)
-        assert init.Gamma0[0, 0] == pytest.approx(1.6, abs=1e-15)
-        x0 = (init.D0 @ init.Sigma0 @ init.D0.T)[0, 0]
+        assert init.D[0, 0] == pytest.approx(-0.5, abs=1e-15)
+        assert init.P[0, 0] == pytest.approx(-0.5, abs=1e-15)
+        assert init.Sigma[0, 0] == pytest.approx(1.6, abs=1e-15)
+        assert init.Gamma[0, 0] == pytest.approx(1.6, abs=1e-15)
+        x0 = (init.D @ init.Sigma @ init.D.T)[0, 0]
         assert x0 == pytest.approx(0.4, abs=1e-15)
+        # the k = 0 iterate: no chain corrections, the cached cross-Gram
+        # D'P, and factors that no step has appended to
+        assert (init.k, init.ahat.depth, init.doubled) == (0, 0, False)
+        np.testing.assert_array_equal(init.cross, init.D.T @ init.P)
 
     def test_cross_blocks_agree_both_routes(self):
         # D0'B and C P0 are the same matrix reached through the forward
         # and transposed solve; they must agree to rounding
         p = make_example2(20)
         init = init_lowrank(p, build_shifted(p, choose_alpha(p)))
-        W0 = init.D0.T @ p.B
-        V0 = p.C @ init.P0
+        W0 = init.D.T @ p.B
+        V0 = p.C @ init.P
         np.testing.assert_allclose(W0, V0, rtol=0.0, atol=1e-15)
 
     def test_reconstruction_matches_dense_init(self):
         p = make_example1(16)
         sf = build_shifted(p, 17.0)
         init = init_lowrank(p, sf)
-        _, X0, Y0 = init_dense(p, sf)
-        np.testing.assert_allclose(init.D0 @ init.Sigma0 @ init.D0.T, X0,
-                                   atol=1e-14 * np.abs(X0).max())
-        np.testing.assert_allclose(init.P0 @ init.Gamma0 @ init.P0.T, Y0,
-                                   atol=1e-14 * np.abs(Y0).max())
+        dense = init_dense(p, sf)
+        np.testing.assert_allclose(init.D @ init.Sigma @ init.D.T, dense.X,
+                                   atol=1e-14 * np.abs(dense.X).max())
+        np.testing.assert_allclose(init.P @ init.Gamma @ init.P.T, dense.Y,
+                                   atol=1e-14 * np.abs(dense.Y).max())
 
     def test_cores_are_spd(self):
         rng = np.random.default_rng(17)
         for mp in (1, 2):
             p = random_stable_problem(rng, 15, mp=mp)
             init = init_lowrank(p, build_shifted(p, choose_alpha(p)))
-            assert np.linalg.eigvalsh(init.Sigma0).min() > 0.0
-            assert np.linalg.eigvalsh(init.Gamma0).min() > 0.0
+            assert np.linalg.eigvalsh(init.Sigma).min() > 0.0
+            assert np.linalg.eigvalsh(init.Gamma).min() > 0.0
 
 
 class TestBaseOperator:
@@ -110,10 +114,10 @@ class TestBaseOperator:
         p = make_example1(16)
         sf = build_shifted(p, 17.0)
         init = init_lowrank(p, sf)
-        ahat_dense, _, _ = init_dense(p, sf)
-        got = self.materialize(init.ahat0, 16)
+        ahat_dense = init_dense(p, sf).ahat
+        got = self.materialize(init.ahat.base, 16)
         np.testing.assert_allclose(got, ahat_dense, atol=1e-14)
-        got_t = self.materialize(init.ahat0, 16, transposed=True)
+        got_t = self.materialize(init.ahat.base, 16, transposed=True)
         np.testing.assert_allclose(got_t, ahat_dense.T, atol=1e-14)
 
     def test_degenerate_input_is_pure_cayley(self):
@@ -123,29 +127,30 @@ class TestBaseOperator:
         p = CareProblem(A, np.zeros((n, 1)), np.zeros((1, n)))
         init = init_lowrank(p, build_shifted(p, alpha))
         cayley = np.linalg.solve(A - alpha * np.eye(n), A + alpha * np.eye(n))
-        got = self.materialize(init.ahat0, n)
+        got = self.materialize(init.ahat.base, n)
         np.testing.assert_allclose(got, cayley, atol=1e-13)
 
     def test_scalar_value(self):
         p = scalar_problem()
         init = init_lowrank(p, build_shifted(p, 1.0))
-        assert init.ahat0.apply(np.eye(1))[0, 0] == pytest.approx(0.2,
-                                                                  abs=1e-15)
+        got = init.ahat.base.apply(np.eye(1))[0, 0]
+        assert got == pytest.approx(0.2, abs=1e-15)
 
 
 class TestInitDense:
     def test_scalar_values(self):
         p = scalar_problem()
-        ahat0, X0, Y0 = init_dense(p, build_shifted(p, 1.0))
-        assert ahat0[0, 0] == pytest.approx(0.2, abs=1e-15)
-        assert X0[0, 0] == pytest.approx(0.4, abs=1e-15)
-        assert Y0[0, 0] == pytest.approx(0.4, abs=1e-15)
+        s0 = init_dense(p, build_shifted(p, 1.0))
+        assert s0.k == 0
+        assert s0.ahat[0, 0] == pytest.approx(0.2, abs=1e-15)
+        assert s0.X[0, 0] == pytest.approx(0.4, abs=1e-15)
+        assert s0.Y[0, 0] == pytest.approx(0.4, abs=1e-15)
 
     def test_outputs_symmetric(self):
         p = make_example2(14)
-        _, X0, Y0 = init_dense(p, build_shifted(p, 18.0))
-        np.testing.assert_array_equal(X0, X0.T)
-        np.testing.assert_array_equal(Y0, Y0.T)
+        s0 = init_dense(p, build_shifted(p, 18.0))
+        np.testing.assert_array_equal(s0.X, s0.X.T)
+        np.testing.assert_array_equal(s0.Y, s0.Y.T)
 
     def test_cap(self):
         p = make_example1(600)

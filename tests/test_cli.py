@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import radda
-from radda import cli
+from radda import SingularUpdateError, cli
 from radda.cli import (COMPARE_HEADER, EXIT_BREAKDOWN, EXIT_EQUIVALENCE,
                        EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, RUN_HEADER,
                        SWEEP_HEADER, main)
@@ -114,6 +114,26 @@ class TestRun:
         # trajectory still emitted for the completed iterations
         assert out.splitlines()[0] == RUN_HEADER
         assert len(out.splitlines()) == 3  # k = 0, 1
+
+    def test_dense_breakdown_keeps_trajectory(self, capsys, monkeypatch):
+        import radda.dense as dense_mod
+        orig = dense_mod.adda_step_dense
+
+        def failing_step(state):
+            if state.k >= 1:
+                raise SingularUpdateError("forced failure", k=state.k)
+            return orig(state)
+
+        monkeypatch.setattr(dense_mod, "adda_step_dense", failing_step)
+        code, out, err = run_main(
+            capsys, ["run", "--example", "1", "--n", "16", "--mode", "dense",
+                     "--tol", "1e-30"])
+        assert code == EXIT_BREAKDOWN
+        lines = out.splitlines()
+        assert lines[0] == RUN_HEADER
+        # the rows of the iterates completed before the failed step
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 1]
+        assert "termination=breakdown" in err
 
     def test_singular_shift_is_exit_3(self, capsys, tmp_path):
         # A = I makes the default shift alpha = 1 land exactly on an

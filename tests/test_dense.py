@@ -1,4 +1,4 @@
-"""Dense doubling iteration and the verification helpers built on it."""
+"""Dense doubling iteration and the test-only verifiers built on it."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,16 @@ import pytest
 from conftest import random_stable_problem, scalar_problem
 from radda import (AddaDenseState, SingularUpdateError, SizeCapError,
                    adda_solve_dense, adda_step_dense, build_shifted,
-                   build_verification_context, care_oracle_small, choose_alpha,
-                   init_dense, make_example1, make_example2, residual_dense,
-                   verify_doubling_identities, verify_symplectic_pencil)
+                   care_oracle_small, choose_alpha, init_dense, make_example1,
+                   make_example2)
+from verification import (build_verification_context,
+                          verify_doubling_identities, verify_symplectic_pencil)
 
 SQRT2 = np.sqrt(2.0)
 
 
 def dense_states(problem, alpha, kmax):
-    state = AddaDenseState(0, *init_dense(problem, build_shifted(problem,
-                                                                 alpha)))
+    state = init_dense(problem, build_shifted(problem, alpha))
     out = [state]
     for _ in range(kmax):
         state = adda_step_dense(state)
@@ -26,7 +26,7 @@ def dense_states(problem, alpha, kmax):
 class TestStep:
     def test_scalar_first_step_frozen_values(self):
         p = scalar_problem()
-        s0 = AddaDenseState(0, *init_dense(p, build_shifted(p, 1.0)))
+        s0 = init_dense(p, build_shifted(p, 1.0))
         s1 = adda_step_dense(s0)
         assert s1.k == 1
         # X1 = 0.4 + 0.2 * 0.4 * 0.2 / 1.16, ahat1 = 0.04 / 1.16
@@ -41,10 +41,11 @@ class TestStep:
             np.testing.assert_array_equal(s.Y, s.Y.T)
 
     def test_singular_update_detected(self):
-        bad = AddaDenseState(0, ahat=np.eye(1), X=np.array([[1.0]]),
+        bad = AddaDenseState(2, ahat=np.eye(1), X=np.array([[1.0]]),
                              Y=np.array([[-1.0]]))
-        with pytest.raises(SingularUpdateError):
+        with pytest.raises(SingularUpdateError) as err:
             adda_step_dense(bad)
+        assert err.value.k == 2
 
 
 class TestSolve:
@@ -78,6 +79,25 @@ class TestSolve:
         _, report = adda_solve_dense(make_example1(16), tol=1e-30, maxit=2)
         assert report.termination == "max-iterations"
         assert report.iterations == 2
+
+    def test_breakdown_attaches_partial_report(self, monkeypatch):
+        # a genuine singular update needs degenerate data, so force one
+        # from k = 1 to exercise the partial-report plumbing
+        import radda.dense as dense_mod
+        orig = dense_mod.adda_step_dense
+
+        def failing_step(state):
+            if state.k >= 1:
+                raise SingularUpdateError("forced failure", k=state.k)
+            return orig(state)
+
+        monkeypatch.setattr(dense_mod, "adda_step_dense", failing_step)
+        with pytest.raises(SingularUpdateError) as err:
+            adda_solve_dense(make_example1(12), tol=1e-30, maxit=5)
+        rep = err.value.report
+        assert rep.termination == "breakdown"
+        assert rep.iterations == 1
+        assert [k for k, _ in rep.residual_history] == [0, 1]
 
     def test_argument_validation(self):
         with pytest.raises(SizeCapError):
@@ -113,7 +133,7 @@ class TestVerifiers:
         n = 9
         X = rng.standard_normal((n, n))
         Y = rng.standard_normal((n, n))
-        state = AddaDenseState(0, ahat=rng.standard_normal((n, n)),
+        state = AddaDenseState(3, ahat=rng.standard_normal((n, n)),
                                X=X + X.T, Y=Y + Y.T)
         assert verify_symplectic_pencil(state) <= 1e-14
 

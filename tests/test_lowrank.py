@@ -6,8 +6,8 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import random_stable_problem, scalar_problem
-from radda import (AddaDenseState, BreakdownError, CareProblem, ImplicitAhat,
-                   RaddaState, adda_step_dense, apply_ahat, build_shifted,
+from radda import (BreakdownError, CareProblem, RaddaState, adda_solve_dense,
+                   adda_step_dense, apply_ahat, build_shifted,
                    care_oracle_small, choose_alpha, init_dense, init_lowrank,
                    make_example1, make_example2, qnorm, radda_solve,
                    radda_step, residual_dense, residual_lowrank,
@@ -17,11 +17,11 @@ SQRT2 = np.sqrt(2.0)
 
 
 def lowrank_state(problem, alpha):
-    sf = build_shifted(problem, alpha)
-    init = init_lowrank(problem, sf)
-    return RaddaState(k=0, D=init.D0, Sigma=init.Sigma0, P=init.P0,
-                      Gamma=init.Gamma0, ahat=ImplicitAhat(base=init.ahat0),
-                      cross=init.D0.T @ init.P0)
+    return init_lowrank(problem, build_shifted(problem, alpha))
+
+
+def dense_state(problem, alpha):
+    return init_dense(problem, build_shifted(problem, alpha))
 
 
 def uneven_problem():
@@ -89,12 +89,12 @@ class TestStepAlgebra:
 
     def test_breakdown_raises(self):
         # forced singular core: I + Sigma * (D' Y D) = 1 + 1 * (-1) = 0
-        bad = RaddaState(k=0, D=np.ones((3, 1)), Sigma=np.eye(1),
+        bad = RaddaState(k=2, D=np.ones((3, 1)), Sigma=np.eye(1),
                          P=np.ones((3, 1)), Gamma=-np.eye(1),
                          ahat=None, cross=np.eye(1))
         with pytest.raises(BreakdownError) as err:
             radda_step(bad)
-        assert err.value.k == 0
+        assert err.value.k == 2
 
 
 class TestDenseEquivalence:
@@ -105,7 +105,7 @@ class TestDenseEquivalence:
     def test_examples_track_dense_iterates(self, make, alpha):
         p = make()
         lr = lowrank_state(p, alpha)
-        dn = AddaDenseState(0, *init_dense(p, build_shifted(p, alpha)))
+        dn = dense_state(p, alpha)
         for k in range(5):
             if k:
                 lr = radda_step(lr)
@@ -119,7 +119,7 @@ class TestDenseEquivalence:
     def test_implicit_operator_matches_dense(self):
         p = make_example1(16)
         lr = lowrank_state(p, 17.0)
-        dn = AddaDenseState(0, *init_dense(p, build_shifted(p, 17.0)))
+        dn = dense_state(p, 17.0)
         eye = np.eye(16)
         for k in range(4):
             if k:
@@ -191,7 +191,7 @@ class TestModifiedFactors:
         p = make()
         alpha = choose_alpha(p) if alpha is None else alpha
         lr = lowrank_state(p, alpha)
-        dn = AddaDenseState(0, *init_dense(p, build_shifted(p, alpha)))
+        dn = dense_state(p, alpha)
         for _ in range(2):
             lr = radda_step(lr)
             dn = adda_step_dense(dn)
@@ -346,10 +346,7 @@ class TestSolve:
 
     def test_iterates_monotone_psd(self):
         p = make_example2(32)
-        sf = build_shifted(p, choose_alpha(p))
-        init = init_lowrank(p, sf)
-        s = RaddaState(0, init.D0, init.Sigma0, init.P0, init.Gamma0,
-                       ImplicitAhat(init.ahat0), init.D0.T @ init.P0)
+        s = lowrank_state(p, choose_alpha(p))
         prev = reconstruct_x(s)
         assert np.linalg.eigvalsh(prev).min() >= -1e-14
         for _ in range(4):
@@ -364,17 +361,9 @@ class TestSolve:
         assert report.termination == "max-iterations"
         assert report.iterations == 2
 
-    def test_check_every(self):
-        _, report = radda_solve(make_example1(32), tol=1e-11, maxit=6,
-                                check_every=2)
-        ks = [k for k, _ in report.residual_history]
-        assert ks[0] == 0
-        assert all(k % 2 == 0 or k == 6 for k in ks[1:])
-
     def test_argument_validation(self):
         p = make_example1(8)
-        for bad in (dict(tol=0.0), dict(maxit=0), dict(check_every=0),
-                    dict(truncate_tol=-1.0)):
+        for bad in (dict(tol=0.0), dict(maxit=0), dict(truncate_tol=-1.0)):
             with pytest.raises(ValueError):
                 radda_solve(p, **bad)
 
@@ -408,7 +397,7 @@ class TestRandomSweep:
             p = random_stable_problem(rng, n, mp=mp)
             alpha = choose_alpha(p)
             lr = lowrank_state(p, alpha)
-            dn = AddaDenseState(0, *init_dense(p, build_shifted(p, alpha)))
+            dn = dense_state(p, alpha)
             for k in range(5):
                 if k:
                     lr = radda_step(lr)
@@ -419,3 +408,32 @@ class TestRandomSweep:
             Xs = care_oracle_small(p)
             err = np.linalg.norm(x.reconstruct() - Xs, "fro")
             assert err <= 1e-8 * np.linalg.norm(Xs, "fro")
+
+
+#: the names the benchmark's tracer replaces, per module, from outside the
+#: package; the solvers must call through the module attributes
+TRACED_NAMES = {
+    "radda.lowrank": ("choose_alpha", "build_shifted", "init_lowrank",
+                      "radda_step", "apply_ahat", "truncate_factors",
+                      "residual_lowrank"),
+    "radda.dense": ("init_dense", "adda_step_dense", "residual_dense"),
+}
+
+
+def test_solvers_look_up_traced_names_at_call_time(monkeypatch):
+    import importlib
+    calls = {}
+    for module, names in TRACED_NAMES.items():
+        mod = importlib.import_module(module)
+        for name in names:
+            key = f"{module}.{name}"
+            calls[key] = 0
+
+            def counted(*args, _orig=getattr(mod, name), _key=key, **kwargs):
+                calls[_key] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+    radda_solve(make_example1(64), truncate_tol=1e-13)
+    adda_solve_dense(make_example1(32))
+    assert [key for key, n in calls.items() if n == 0] == []
