@@ -6,19 +6,17 @@ run      one solve (low-rank or dense mode), per-iteration records out
 compare  both solvers in lockstep on one problem, per-iteration deviation
 sweep    size/shift grid in one mode, one summary row per run
 
-Data goes to --out or stdout (CSV or JSON); human-readable summaries go to
-stderr.  Exit codes: 0 converged, 1 not converged within the budget,
-2 usage error, 3 iteration breakdown, 4 low-rank/dense equivalence
-regression (compare only).
+Each subcommand accepts only the flags it reads.  Data goes to --out or
+stdout (CSV or JSON); human-readable summaries go to stderr.  Exit codes:
+0 converged, 1 not converged within the budget, 2 usage error, 3 iteration
+breakdown, 4 low-rank/dense equivalence regression (compare only).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -26,8 +24,8 @@ import numpy as np
 from .cayley import ShiftSingularError, build_shifted, choose_alpha
 from .dense import adda_solve_dense, adda_step_dense, init_dense
 from .lowrank import init_lowrank, radda_solve, radda_step, residual_lowrank
-from .problems import BreakdownError, CareProblem, DENSE_CAP, SizeCapError, \
-    drive, iterate, make_example1, make_example2, qnorm, residual_dense
+from .problems import BreakdownError, CareProblem, drive, iterate, \
+    make_example1, make_example2, qnorm, residual_dense
 from .serialize import load_problem
 
 EXIT_OK = 0
@@ -45,44 +43,14 @@ COMPARE_HEADER = "k,res_lowrank,res_dense,x_deviation"
 SWEEP_HEADER = "n,alpha,res,it,cpu_s,status"
 
 
-@dataclass
-class RunConfig:
-    """Resolved CLI options shared by the subcommands."""
-
-    example: int | None = None
-    problem_path: str | None = None
-    n: int = 128
-    alpha: float | None = None
-    tol: float = 1e-12
-    maxit: int = 30
-    mode: str = "lowrank"
-    truncate_tol: float = 0.0
-    fmt: str = "csv"
-    out: str | None = None
-    dense_cap: int = DENSE_CAP
+def _example(family: int, n: int) -> CareProblem:
+    return (make_example1 if family == 1 else make_example2)(n)
 
 
-def _dense_cap_from_env() -> int:
-    raw = os.environ.get("RADDA_DENSE_CAP")
-    if raw is None:
-        return DENSE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit(f"RADDA_DENSE_CAP must be an integer, got {raw!r}")
-    if cap < 1:
-        raise SystemExit(f"RADDA_DENSE_CAP must be positive, got {cap}")
-    return cap
-
-
-def _load(config: RunConfig) -> CareProblem:
-    if config.problem_path is not None:
-        return load_problem(config.problem_path)
-    if config.example == 1:
-        return make_example1(config.n)
-    if config.example == 2:
-        return make_example2(config.n)
-    raise ValueError("one of --example/--problem is required")
+def _load(args) -> CareProblem:
+    if args.problem is not None:
+        return load_problem(args.problem)
+    return _example(args.example, 128 if args.n is None else args.n)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -112,27 +80,22 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _solve(problem: CareProblem, config: RunConfig):
-    """One solve in config.mode ("lowrank" or "dense"): (solution, report)."""
-    if config.mode == "dense":
-        return adda_solve_dense(problem, alpha=config.alpha, tol=config.tol,
-                                maxit=config.maxit, cap=config.dense_cap)
-    return radda_solve(problem, alpha=config.alpha, tol=config.tol,
-                       maxit=config.maxit, truncate_tol=config.truncate_tol)
+def _solve(problem: CareProblem, args, alpha: float | None):
+    """One solve in args.mode ("lowrank" or "dense"): (solution, report)."""
+    if args.mode == "dense":
+        return adda_solve_dense(problem, alpha=alpha, tol=args.tol,
+                                maxit=args.maxit)
+    return radda_solve(problem, alpha=alpha, tol=args.tol, maxit=args.maxit,
+                       truncate_tol=args.truncate_tol)
 
 
-def cmd_run(config: RunConfig) -> int:
+def cmd_run(args) -> int:
     """One solve; emits the per-iteration trajectory."""
-    problem = _load(config)
-    if config.mode == "dense" and problem.n > config.dense_cap:
-        _info(f"error: dense mode is capped at n={config.dense_cap} "
-              f"(got n={problem.n}); use --mode lowrank")
-        return EXIT_USAGE
-
+    problem = _load(args)
     report = None
     code = EXIT_OK
     try:
-        _, report = _solve(problem, config)
+        _, report = _solve(problem, args, args.alpha)
         if report.termination != "converged":
             code = EXIT_NOT_CONVERGED
     except BreakdownError as exc:
@@ -147,36 +110,31 @@ def cmd_run(config: RunConfig) -> int:
         res_at = dict(report.residual_history)
         rows = [(k, res_at.get(k), rx, ry, 1e3 * report.wall_times[i])
                 for i, (k, rx, ry) in enumerate(report.rank_history)]
-        if config.fmt == "csv":
-            _emit(_csv(RUN_HEADER, rows), config.out)
+        if args.fmt == "csv":
+            _emit(_csv(RUN_HEADER, rows), args.out)
         else:
             meta = {
                 "command": "run",
-                "mode": config.mode,
+                "mode": args.mode,
                 "n": problem.n,
-                "alpha": config.alpha,
-                "tol": config.tol,
+                "alpha": report.alpha,
+                "tol": args.tol,
                 "iterations": report.iterations,
                 "termination": report.termination,
             }
-            _emit(_json_doc(meta, RUN_HEADER.split(","), rows), config.out)
+            _emit(_json_doc(meta, RUN_HEADER.split(","), rows), args.out)
         final = report.residual_history[-1][1] if report.residual_history else float("nan")
-        _info(f"{config.mode}: n={problem.n} iterations={report.iterations} "
+        _info(f"{args.mode}: n={problem.n} iterations={report.iterations} "
               f"residual={final:.3e} termination={report.termination} "
               f"time={sum(report.wall_times):.3f}s")
     return code
 
 
-def cmd_compare(config: RunConfig) -> int:
+def cmd_compare(args) -> int:
     """Both solvers in lockstep; emits per-iteration residuals and the
     relative Frobenius deviation of the reconstructed factored iterate."""
-    problem = _load(config)
-    if problem.n > config.dense_cap:
-        _info(f"error: compare needs the dense side, capped at "
-              f"n={config.dense_cap} (got n={problem.n})")
-        return EXIT_USAGE
-
-    alpha = choose_alpha(problem) if config.alpha is None else config.alpha
+    problem = _load(args)
+    alpha = choose_alpha(problem) if args.alpha is None else args.alpha
     qn = qnorm(problem)
     rows = []
 
@@ -193,12 +151,10 @@ def cmd_compare(config: RunConfig) -> int:
     try:
         shifted = build_shifted(problem, alpha)
         pairs = zip(iterate(init_lowrank(problem, shifted), radda_step),
-                    iterate(init_dense(problem, shifted,
-                                       cap=config.dense_cap),
-                            adda_step_dense))
+                    iterate(init_dense(problem, shifted), adda_step_dense))
         _, report = drive(pairs, residuals,
                           lambda pair: (pair[0].rank_x, pair[0].rank_y),
-                          config.tol, config.maxit, perf_counter())
+                          args.tol, args.maxit, perf_counter(), alpha)
         converged = report.termination == "converged"
         code = EXIT_OK if converged else EXIT_NOT_CONVERGED
     except (BreakdownError, ShiftSingularError) as exc:
@@ -206,17 +162,17 @@ def cmd_compare(config: RunConfig) -> int:
         code = EXIT_BREAKDOWN
     max_dev = max((row[3] for row in rows), default=0.0)
 
-    if config.fmt == "csv":
-        _emit(_csv(COMPARE_HEADER, rows), config.out)
+    if args.fmt == "csv":
+        _emit(_csv(COMPARE_HEADER, rows), args.out)
     else:
         meta = {
             "command": "compare",
             "n": problem.n,
             "alpha": alpha,
-            "tol": config.tol,
+            "tol": args.tol,
             "max_deviation": max_dev,
         }
-        _emit(_json_doc(meta, COMPARE_HEADER.split(","), rows), config.out)
+        _emit(_json_doc(meta, COMPARE_HEADER.split(","), rows), args.out)
     _info(f"compare: n={problem.n} steps={len(rows)} "
           f"max_deviation={max_dev:.3e}")
     if code == EXIT_OK and max_dev > EQUIVALENCE_THRESHOLD:
@@ -226,7 +182,7 @@ def cmd_compare(config: RunConfig) -> int:
     return code
 
 
-def cmd_sweep(config: RunConfig, sizes: list, alphas: list) -> int:
+def cmd_sweep(args, sizes: list, alphas: list) -> int:
     """Grid of runs; one summary row per (n, alpha) pair.
 
     Individual failures are recorded in the status column and the sweep
@@ -239,15 +195,12 @@ def cmd_sweep(config: RunConfig, sizes: list, alphas: list) -> int:
     all_converged = True
     for n in sizes:
         for a in alphas:
-            cfg = RunConfig(**{**config.__dict__, "n": n, "alpha": a})
             t0 = perf_counter()
             try:
-                problem = _load(cfg)
-                _, report = _solve(problem, cfg)
+                _, report = _solve(_example(args.example, n), args, a)
                 elapsed = perf_counter() - t0
                 res = report.residual_history[-1][1]
-                a_used = choose_alpha(problem) if a is None else a
-                rows.append((n, float(a_used), float(res),
+                rows.append((n, report.alpha, float(res),
                              report.iterations, float(elapsed),
                              report.termination))
                 if report.termination != "converged":
@@ -257,11 +210,11 @@ def cmd_sweep(config: RunConfig, sizes: list, alphas: list) -> int:
                 rows.append((n, None if a is None else float(a), None, None,
                              float(elapsed), f"error:{type(exc).__name__}"))
                 all_converged = False
-    if config.fmt == "csv":
-        _emit(_csv(SWEEP_HEADER, rows), config.out)
+    if args.fmt == "csv":
+        _emit(_csv(SWEEP_HEADER, rows), args.out)
     else:
-        meta = {"command": "sweep", "mode": config.mode, "tol": config.tol}
-        _emit(_json_doc(meta, SWEEP_HEADER.split(","), rows), config.out)
+        meta = {"command": "sweep", "mode": args.mode, "tol": args.tol}
+        _emit(_json_doc(meta, SWEEP_HEADER.split(","), rows), args.out)
     _info(f"sweep: {len(rows)} runs, "
           f"{sum(1 for r in rows if r[5] == 'converged')} converged")
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
@@ -274,34 +227,41 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    src = common.add_mutually_exclusive_group()
-    src.add_argument("--example", type=int, choices=(1, 2),
-                     help="built-in problem family")
-    src.add_argument("--problem", metavar="PATH",
-                     help="JSON problem file (see radda.serialize)")
-    common.add_argument("--n", type=int, default=None,
-                        help="problem size for --example (default 128)")
-    common.add_argument("--alpha", type=float, default=None,
-                        help="shift override (default: sqrt of norm product)")
     common.add_argument("--tol", type=float, default=1e-12,
                         help="relative residual stopping tolerance")
     common.add_argument("--maxit", type=int, default=30,
                         help="iteration budget")
-    common.add_argument("--mode", choices=("lowrank", "dense", "both"),
-                        default="lowrank", help="solver selection")
-    common.add_argument("--truncate-tol", type=float, default=0.0,
-                        help="factor recompression cutoff (0 = off)")
     common.add_argument("--format", dest="fmt", choices=("csv", "json"),
                         default="csv", help="output format")
     common.add_argument("--out", default=None,
                         help="write records here instead of stdout")
 
-    sub.add_parser("run", parents=[common],
+    one_problem = argparse.ArgumentParser(add_help=False)
+    src = one_problem.add_mutually_exclusive_group(required=True)
+    src.add_argument("--example", type=int, choices=(1, 2),
+                     help="built-in problem family")
+    src.add_argument("--problem", metavar="PATH",
+                     help="JSON problem file (see radda.serialize)")
+    one_problem.add_argument("--n", type=int, default=None,
+                             help="problem size for --example (default 128)")
+    one_problem.add_argument("--alpha", type=float, default=None,
+                             help="shift override (default: sqrt of norm "
+                                  "product)")
+
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--mode", choices=("lowrank", "dense"),
+                        default="lowrank", help="solver selection")
+    engine.add_argument("--truncate-tol", type=float, default=0.0,
+                        help="factor recompression cutoff (0 = off)")
+
+    sub.add_parser("run", parents=[one_problem, engine, common],
                    help="single solve, per-iteration records")
-    sub.add_parser("compare", parents=[common],
+    sub.add_parser("compare", parents=[one_problem, common],
                    help="low-rank and dense solvers in lockstep")
-    sweep = sub.add_parser("sweep", parents=[common],
+    sweep = sub.add_parser("sweep", parents=[engine, common],
                            help="size/shift grid, one row per run")
+    sweep.add_argument("--example", type=int, choices=(1, 2), required=True,
+                       help="built-in problem family")
     sweep.add_argument("--sizes", default="128,256,512",
                        help="comma-separated problem sizes")
     sweep.add_argument("--alphas", default="auto",
@@ -309,61 +269,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        example=args.example,
-        problem_path=args.problem,
-        n=128 if args.n is None else args.n,
-        alpha=args.alpha,
-        tol=args.tol,
-        maxit=args.maxit,
-        mode=args.mode,
-        truncate_tol=args.truncate_tol,
-        fmt=args.fmt,
-        out=args.out,
-        dense_cap=_dense_cap_from_env(),
-    )
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        _info(f"error: {exc}")
-        return EXIT_USAGE
+        return exc.code
 
-    if args.example is None and args.problem is None:
-        _info("error: one of --example/--problem is required")
-        return EXIT_USAGE
-    if args.problem is not None and args.n is not None:
+    # sweep reads no --problem or --n, and compare no --truncate-tol
+    if getattr(args, "problem", None) is not None and args.n is not None:
         _info("error: --n only applies to the built-in --example families")
         return EXIT_USAGE
-    if args.command == "sweep" and args.problem is not None:
-        _info("error: sweep varies the problem size; it needs --example")
-        return EXIT_USAGE
-    if args.example is not None:
-        min_n = 2 if args.example == 1 else 3
-        if config.n < min_n:
-            _info(f"error: example {args.example} needs n >= {min_n}")
-            return EXIT_USAGE
-    if args.tol <= 0 or args.maxit < 1 or args.truncate_tol < 0:
+    if (args.tol <= 0 or args.maxit < 1
+            or getattr(args, "truncate_tol", 0.0) < 0):
         _info("error: --tol must be > 0, --maxit >= 1, --truncate-tol >= 0")
         return EXIT_USAGE
 
     try:
         if args.command == "run":
-            if config.mode == "both":
-                _info("error: run emits one trajectory; "
-                      "use the compare subcommand for both solvers")
-                return EXIT_USAGE
-            return cmd_run(config)
+            return cmd_run(args)
         if args.command == "compare":
-            return cmd_compare(config)
-        if config.mode == "both":
-            _info("error: sweep runs one mode; pick lowrank or dense")
-            return EXIT_USAGE
+            return cmd_compare(args)
         try:
             sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         except ValueError:
@@ -377,11 +302,8 @@ def main(argv=None) -> int:
             except ValueError:
                 _info(f"error: bad --alphas value {args.alphas!r}")
                 return EXIT_USAGE
-        return cmd_sweep(config, sizes, alphas)
-    except (SizeCapError, ValueError) as exc:
-        _info(f"error: {exc}")
-        return EXIT_USAGE
-    except OSError as exc:
+        return cmd_sweep(args, sizes, alphas)
+    except (ValueError, OSError) as exc:
         _info(f"error: {exc}")
         return EXIT_USAGE
 

@@ -6,7 +6,6 @@ not to compete.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -15,7 +14,7 @@ import scipy.linalg as sla
 
 from .cayley import ShiftedFactorization, build_shifted, choose_alpha
 from .problems import (BreakdownError, CareProblem, DENSE_CAP, SizeCapError,
-                       drive, iterate, residual_dense)
+                       drive, iterate, lu_small, residual_dense)
 
 
 class SingularUpdateError(BreakdownError):
@@ -32,19 +31,19 @@ class AddaDenseState:
     Y: np.ndarray
 
 
-def init_dense(problem: CareProblem, shifted: ShiftedFactorization,
-               cap: int = DENSE_CAP) -> AddaDenseState:
+def init_dense(problem: CareProblem,
+               shifted: ShiftedFactorization) -> AddaDenseState:
     """Dense starting iterate (Ahat0, X0, Y0) of the reference iteration:
 
         Ahat0 = I + 2a V_a^{-1},
         X0    = 2a U_a^{-1} Q A_a^{-1},
         Y0    = 2a A_a^{-1} G U_a^{-1},
 
-    with X0, Y0 symmetrized.  Desk-scale only (n <= cap).
+    with X0, Y0 symmetrized.  Desk-scale only (n <= DENSE_CAP).
     """
     n = problem.n
-    if n > cap:
-        raise SizeCapError(f"n={n} exceeds the dense cap {cap}")
+    if n > DENSE_CAP:
+        raise SizeCapError(f"n={n} exceeds the dense cap {DENSE_CAP}")
     alpha = shifted.alpha
     A = problem.a_dense()
     G = problem.B @ problem.B.T
@@ -73,17 +72,8 @@ def adda_step_dense(state: AddaDenseState) -> AddaDenseState:
     """
     ahat, X, Y = state.ahat, state.X, state.Y
     n = ahat.shape[0]
-    K = np.eye(n) + Y @ X
-    if not np.all(np.isfinite(K)):
-        raise SingularUpdateError(
-            f"I + Y X has non-finite entries at iteration {state.k}",
-            k=state.k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(K)
-    if np.abs(np.diag(lu)).min() == 0.0:
-        raise SingularUpdateError(
-            f"I + Y X is singular at iteration {state.k}", k=state.k)
+    lu, piv = lu_small(np.eye(n) + Y @ X, state.k, "I + Y X",
+                       SingularUpdateError)
     ahat_next = ahat @ sla.lu_solve((lu, piv), ahat)
     X_next = X + ahat.T @ sla.lu_solve((lu, piv), X @ ahat, trans=1)
     Y_next = Y + ahat @ (Y @ sla.lu_solve((lu, piv), ahat.T, trans=1))
@@ -93,8 +83,7 @@ def adda_step_dense(state: AddaDenseState) -> AddaDenseState:
 
 
 def adda_solve_dense(problem: CareProblem, *, alpha: float | None = None,
-                     tol: float = 1e-12, maxit: int = 30,
-                     cap: int = DENSE_CAP):
+                     tol: float = 1e-12, maxit: int = 30):
     """Dense doubling driver; returns (X, SolveReport).
 
     Shares the low-rank driver's loop, stopping rule (relative residual
@@ -103,17 +92,18 @@ def adda_solve_dense(problem: CareProblem, *, alpha: float | None = None,
     dense iterates.  A SingularUpdateError carries the partial report in
     .report.
     """
-    if problem.n > cap:
-        raise SizeCapError(f"n={problem.n} exceeds the dense cap {cap}")
+    if problem.n > DENSE_CAP:
+        raise SizeCapError(
+            f"n={problem.n} exceeds the dense cap {DENSE_CAP}")
     if tol <= 0.0 or maxit < 1:
         raise ValueError("tol must be positive and maxit at least 1")
     t0 = perf_counter()
     a = choose_alpha(problem) if alpha is None else float(alpha)
-    state = init_dense(problem, build_shifted(problem, a), cap=cap)
+    state = init_dense(problem, build_shifted(problem, a))
     state, report = drive(
         iterate(state, adda_step_dense),
         lambda s: residual_dense(problem, s.X),
         lambda s: (int(np.linalg.matrix_rank(s.X)),
                    int(np.linalg.matrix_rank(s.Y))),
-        tol, maxit, t0)
+        tol, maxit, t0, a)
     return state.X, report

@@ -26,7 +26,7 @@ import scipy.linalg as sla
 from .cayley import BaseDoublingOperator, ShiftedFactorization, \
     build_shifted, choose_alpha
 from .problems import BreakdownError, CareProblem, LowRankSymmetric, drive, \
-    iterate, qnorm as _qnorm_of, spectral_norm_sym
+    iterate, lu_small, qnorm as _qnorm_of, spectral_norm_sym
 
 
 @dataclass(frozen=True)
@@ -140,19 +140,6 @@ def init_lowrank(problem: CareProblem,
                       ahat=ImplicitAhat(base=ahat0), cross=D0.T @ P0)
 
 
-def _lu_small(M: np.ndarray, k: int, what: str):
-    """LU of a small core with explicit breakdown detection."""
-    if not np.all(np.isfinite(M)):
-        raise BreakdownError(f"{what} has non-finite entries at iteration {k}",
-                             k=k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(M)
-    if np.abs(np.diag(lu)).min() == 0.0:
-        raise BreakdownError(f"{what} is singular at iteration {k}", k=k)
-    return lu, piv
-
-
 def _first_two_powers(ahat: ImplicitAhat, Z: np.ndarray,
                       transposed: bool) -> np.ndarray:
     """[ahat Z, ahat^2 Z] (or the transposed powers) as one n x 2t block."""
@@ -193,8 +180,10 @@ def radda_step(state: RaddaState) -> RaddaState:
     p_k = D.shape[1]
     m_k = P.shape[1]
 
-    lu_s = _lu_small(np.eye(p_k) + Sigma @ gram_y, state.k, "I + Sigma (D'YD)")
-    lu_g = _lu_small(np.eye(m_k) + Gamma @ gram_x, state.k, "I + Gamma (P'XP)")
+    lu_s = lu_small(np.eye(p_k) + Sigma @ gram_y, state.k, "I + Sigma (D'YD)",
+                    BreakdownError)
+    lu_g = lu_small(np.eye(m_k) + Gamma @ gram_x, state.k, "I + Gamma (P'XP)",
+                    BreakdownError)
     sigma_new = sla.lu_solve(lu_s, Sigma)
     gamma_new = sla.lu_solve(lu_g, Gamma)
     sigma_new = (sigma_new + sigma_new.T) / 2.0
@@ -364,5 +353,5 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         iterate(state, truncated_step if truncate_tol > 0.0 else radda_step),
         lambda s: residual_lowrank(problem, s.D, s.Sigma, qn),
         lambda s: (s.rank_x, s.rank_y),
-        tol, maxit, t0)
+        tol, maxit, t0, a)
     return LowRankSymmetric(state.D, state.Sigma), report

@@ -18,6 +18,7 @@ from itertools import islice
 from time import perf_counter
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import eigvalsh, svdvals
 
@@ -52,6 +53,19 @@ class BreakdownError(RuntimeError):
         super().__init__(message)
         self.k = k
         self.report = report
+
+
+def lu_small(M: np.ndarray, k: int, what: str, error: type):
+    """LU of a small core at iteration k, raising error (a BreakdownError
+    subclass) when M has non-finite entries or a zero pivot."""
+    if not np.all(np.isfinite(M)):
+        raise error(f"{what} has non-finite entries at iteration {k}", k=k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, piv = sla.lu_factor(M)
+    if np.abs(np.diag(lu)).min() == 0.0:
+        raise error(f"{what} is singular at iteration {k}", k=k)
+    return lu, piv
 
 
 @dataclass(frozen=True)
@@ -140,8 +154,10 @@ class SolveReport:
     rank of the Y factor); wall_times[0] covers setup plus the initial
     residual and wall_times[k] covers step k plus its residual check.
     termination is one of "converged", "max-iterations", "breakdown".
+    alpha is the shift the solve used.
     """
 
+    alpha: float | None = None
     iterations: int = 0
     residual_history: list = field(default_factory=list)
     rank_history: list = field(default_factory=list)
@@ -156,17 +172,19 @@ def iterate(state, step):
         state = step(state)
 
 
-def drive(iterates, residual, ranks, tol: float, maxit: int, t0: float):
+def drive(iterates, residual, ranks, tol: float, maxit: int, t0: float,
+          alpha: float):
     """Run a doubling iteration under the shared stopping rule.
 
     Takes the k = 0 iterate and up to maxit more from iterates, stopping
     at the first whose residual(state) is at most tol.  Returns the last
     iterate taken and its SolveReport: wall_times[0] runs from t0, and
     ranks(state), a pair of factor ranks, is evaluated outside the timed
-    sections.  A BreakdownError out of a step leaves with the partial
-    report attached and termination "breakdown".
+    sections, and alpha is the shift recorded in the report.  A
+    BreakdownError out of a step leaves with the partial report attached
+    and termination "breakdown".
     """
-    report = SolveReport(termination="max-iterations")
+    report = SolveReport(alpha=alpha, termination="max-iterations")
     start = t0
     try:
         for k, state in enumerate(islice(iterates, maxit + 1)):
@@ -263,22 +281,23 @@ def residual_dense(problem: CareProblem, X: np.ndarray) -> float:
     return num / den
 
 
-def hamiltonian(problem: CareProblem, cap: int = DENSE_CAP) -> np.ndarray:
+def hamiltonian(problem: CareProblem) -> np.ndarray:
     """The dense 2n x 2n block matrix [[A, -G], [-Q, -A']].
 
     H J is symmetric (equivalently H J = -J H') for J = [[0, I], [-I, 0]];
     the stable invariant subspace encodes the stabilizing solution
     (see care_oracle_small).
     """
-    if problem.n > cap:
-        raise SizeCapError(f"n={problem.n} exceeds the dense cap {cap}")
+    if problem.n > DENSE_CAP:
+        raise SizeCapError(
+            f"n={problem.n} exceeds the dense cap {DENSE_CAP}")
     A = problem.a_dense()
     G = problem.B @ problem.B.T
     Q = problem.C.T @ problem.C
     return np.block([[A, -G], [-Q, -A.T]])
 
 
-def care_oracle_small(problem: CareProblem, cap: int = ORACLE_CAP) -> np.ndarray:
+def care_oracle_small(problem: CareProblem) -> np.ndarray:
     """Ground-truth stabilizing solution via the Hamiltonian eigenproblem.
 
     Eigen-decomposes the 2n x 2n block matrix, keeps the n eigenvectors
@@ -289,7 +308,7 @@ def care_oracle_small(problem: CareProblem, cap: int = ORACLE_CAP) -> np.ndarray
     Raises
     ------
     SizeCapError
-        if n exceeds the oracle cap (default 256).
+        if n exceeds ORACLE_CAP.
     NoStabilizingSolutionError
         if the stable eigenvalue count is not exactly n (eigenvalues on
         the imaginary axis land here too).
@@ -297,9 +316,9 @@ def care_oracle_small(problem: CareProblem, cap: int = ORACLE_CAP) -> np.ndarray
         if the subspace basis X1 has condition number above 1e12.
     """
     n = problem.n
-    if n > cap:
-        raise SizeCapError(f"n={n} exceeds the oracle cap {cap}")
-    H = hamiltonian(problem, cap=cap)
+    if n > ORACLE_CAP:
+        raise SizeCapError(f"n={n} exceeds the oracle cap {ORACLE_CAP}")
+    H = hamiltonian(problem)
     lam, V = np.linalg.eig(H)
     stable = lam.real < 0.0
     k = int(stable.sum())

@@ -75,6 +75,12 @@ class TestRun:
         for row in doc["rows"]:
             assert set(row) == {"k", "res", "rank_x", "rank_y", "wall_ms"}
 
+    def test_json_reports_default_shift(self, capsys):
+        code, out, _ = run_main(
+            capsys, ["run", "--example", "1", "--n", "32", "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["alpha"] == 17.0
+
     def test_dense_mode(self, capsys):
         code, out, err = run_main(
             capsys, ["run", "--example", "1", "--n", "48",
@@ -150,7 +156,7 @@ class TestUsageErrors:
     def test_missing_source(self, capsys):
         code, _, err = run_main(capsys, ["run"])
         assert code == EXIT_USAGE
-        assert "--example/--problem" in err
+        assert "--example" in err and "--problem" in err
 
     def test_problem_with_n(self, capsys, tmp_path):
         path = tmp_path / "p.json"
@@ -164,7 +170,7 @@ class TestUsageErrors:
         code, _, err = run_main(
             capsys, ["run", "--example", "1", "--mode", "both"])
         assert code == EXIT_USAGE
-        assert "compare" in err
+        assert "invalid choice" in err
 
     def test_n_below_family_minimum(self, capsys):
         code, _, _ = run_main(capsys, ["run", "--example", "2", "--n", "2"])
@@ -188,20 +194,18 @@ class TestUsageErrors:
             capsys, ["run", "--example", "1", "--n", "600",
                      "--mode", "dense"])
         assert code == EXIT_USAGE
-        assert "capped" in err
+        assert "dense cap" in err
 
-    def test_dense_cap_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("RADDA_DENSE_CAP", "32")
-        code, _, err = run_main(
-            capsys, ["run", "--example", "1", "--n", "64",
-                     "--mode", "dense"])
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--example", "1", "--n", "32", "--truncate-tol", "1e-3"],
+        ["compare", "--example", "1", "--n", "32", "--mode", "dense"],
+        ["sweep", "--example", "1", "--sizes", "32", "--n", "64"],
+    ])
+    def test_unread_flag_rejected(self, capsys, argv):
+        code, out, err = run_main(capsys, argv)
         assert code == EXIT_USAGE
-        assert "n=32" in err
-
-    def test_dense_cap_env_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("RADDA_DENSE_CAP", "lots")
-        code, _, _ = run_main(capsys, ["run", "--example", "1"])
-        assert code == EXIT_USAGE
+        assert out == ""
+        assert "unrecognized arguments" in err
 
 
 class TestCompare:
@@ -235,11 +239,11 @@ class TestCompare:
         assert code == EXIT_EQUIVALENCE
         assert "exceeds" in err
 
-    def test_over_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("RADDA_DENSE_CAP", "16")
-        code, _, _ = run_main(
-            capsys, ["compare", "--example", "1", "--n", "32"])
+    def test_over_cap(self, capsys):
+        code, _, err = run_main(
+            capsys, ["compare", "--example", "1", "--n", "600"])
         assert code == EXIT_USAGE
+        assert "dense cap" in err
 
 
 class TestSweep:

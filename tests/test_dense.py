@@ -62,6 +62,7 @@ class TestSolve:
     def test_example1_converges_to_oracle(self):
         p = make_example1(32)
         X, report = adda_solve_dense(p)
+        assert report.alpha == 17.0
         assert report.iterations <= 6
         assert report.residual_history[-1][1] <= 1e-12
         Xs = care_oracle_small(p)
@@ -98,6 +99,7 @@ class TestSolve:
         assert rep.termination == "breakdown"
         assert rep.iterations == 1
         assert [k for k, _ in rep.residual_history] == [0, 1]
+        assert rep.alpha == 17.0
 
     def test_argument_validation(self):
         with pytest.raises(SizeCapError):

@@ -327,6 +327,11 @@ class TestSolve:
         for k, rx, ry in report.rank_history:
             assert rx == 2 ** k and ry == 2 ** k
 
+    def test_report_records_default_shift(self):
+        # sqrt(||A||_1 ||A||_inf) = sqrt(17 * 17) for the first family
+        _, report = radda_solve(make_example1(32))
+        assert report.alpha == 17.0
+
     def test_final_factors_match_oracle(self):
         p = make_example2(48)
         x, _ = radda_solve(p)
@@ -386,6 +391,7 @@ class TestSolve:
         assert rep.termination == "breakdown"
         assert rep.residual_history[0][0] == 0
         assert rep.iterations == 1
+        assert rep.alpha == 17.0
 
 
 class TestRandomSweep:

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from radda import (AddaDenseState, CareProblem, ORACLE_CAP, care_oracle_small,
-                   dual_problem)
+from radda import AddaDenseState, CareProblem, care_oracle_small, dual_problem
 
 
 @dataclass(frozen=True)
@@ -38,11 +37,11 @@ def _cayley(M: np.ndarray, alpha: float) -> np.ndarray:
         ) from exc
 
 
-def build_verification_context(problem: CareProblem, alpha: float,
-                               cap: int = ORACLE_CAP) -> VerificationContext:
+def build_verification_context(problem: CareProblem,
+                               alpha: float) -> VerificationContext:
     """Assemble the oracle solutions and Cayley transforms once per problem."""
-    Xstar = care_oracle_small(problem, cap=cap)
-    Ystar = care_oracle_small(dual_problem(problem), cap=cap)
+    Xstar = care_oracle_small(problem)
+    Ystar = care_oracle_small(dual_problem(problem))
     A = problem.a_dense()
     G = problem.B @ problem.B.T
     Q = problem.C.T @ problem.C
