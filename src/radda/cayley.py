@@ -43,9 +43,19 @@ class ShiftedFactorization:
     solve_t: Callable[[np.ndarray], np.ndarray]
 
 
-def choose_alpha(problem: CareProblem) -> float:
-    """Default shift sqrt(||A||_1 * ||A||_inf): scale-aware, cheap, and
-    positive for any nonzero A."""
+#: base applies behind each rung's doubling-rate estimate
+RATE_APPLIES = 8
+#: ratio between consecutive shifts of the search ladder
+LADDER_RATIO = 0.5
+#: bound on the shifts one search factors.  20 rungs reach alpha0 / 5e5,
+#: which is sqrt(lmin lmax), the best single shift, for lmax / lmin up to
+#: about 3e11; a rate that keeps falling cannot run the ladder to underflow
+MAX_RUNGS = 20
+
+
+def _norm_shift(problem: CareProblem) -> float:
+    """sqrt(||A||_1 ||A||_inf): scale-aware, cheap, positive for any
+    nonzero A, and an upper bound on the spectral radius of A."""
     A = problem.A
     if sp.issparse(A):
         absA = abs(A)
@@ -59,6 +69,60 @@ def choose_alpha(problem: CareProblem) -> float:
     if alpha <= 0.0:
         raise ValueError("A = 0 admits no positive default shift")
     return alpha
+
+
+def choose_alpha(problem: CareProblem) -> float:
+    """Default shift: the best rung of a halving ladder.
+
+    The ladder starts at alpha0 = sqrt(||A||_1 ||A||_inf), which sits
+    near the top of the spectrum, and tries alpha0, alpha0/2, alpha0/4,
+    ...  Each shift is scored by an estimate of the spectral radius of its
+    base doubling operator, which sets how many doublings a solve needs.
+    The search stops at the first rung whose estimate is no lower than the
+    best so far, or after MAX_RUNGS rungs, and returns the best shift.
+    Each rung costs one factorization of A - alpha I, freed before the
+    next rung is built, and RATE_APPLIES base applies of width m.
+
+    Raises ShiftSingularError if A - alpha0 I is singular, and ValueError
+    for A = 0.  A later rung that is singular or numerically unusable
+    ends the search.
+    """
+    alpha = _norm_shift(problem)
+    best_alpha, best_rate = alpha, _doubling_rate(problem, alpha)
+    for _ in range(MAX_RUNGS - 1):
+        alpha *= LADDER_RATIO
+        try:
+            rate = _doubling_rate(problem, alpha)
+        except (ShiftSingularError, ValueError):
+            break
+        if not rate < best_rate:      # a NaN estimate ends the search too
+            break
+        best_alpha, best_rate = alpha, rate
+    return best_alpha
+
+
+def _doubling_rate(problem: CareProblem, alpha: float) -> float:
+    """Power-iteration estimate of the spectral radius of the base
+    doubling operator E_a at shift a = alpha.
+
+    From z = P0 / ||P0||_F (P0 = A_a^{-1} B), RATE_APPLIES applies of E_a,
+    renormalizing after each, give the geometric mean of the growth
+    factors ||E_a z||_F.  The factorization of A - alpha I lives only as
+    long as this call.
+    """
+    shifted = build_shifted(problem, alpha)
+    D0, P0, W0 = base_blocks(problem, shifted)
+    op = BaseDoublingOperator(problem, shifted, D0, P0, W0)
+    z = P0
+    scale = float(np.linalg.norm(z))
+    rate = 1.0
+    for _ in range(RATE_APPLIES):
+        if scale == 0.0:          # B = 0, or E_a annihilated z
+            return 0.0
+        z = op.apply(z / scale)
+        scale = float(np.linalg.norm(z))
+        rate *= scale ** (1.0 / RATE_APPLIES)
+    return rate
 
 
 def build_shifted(problem: CareProblem, alpha: float) -> ShiftedFactorization:
@@ -103,6 +167,20 @@ def build_shifted(problem: CareProblem, alpha: float) -> ShiftedFactorization:
 
     return ShiftedFactorization(alpha=float(alpha), n=n,
                                 solve=solve, solve_t=solve_t)
+
+
+def base_blocks(problem: CareProblem, shifted: ShiftedFactorization):
+    """(D0, P0, W0) at the shift of shifted: D0 = A_a^{-T} C' (n x p),
+    P0 = A_a^{-1} B (n x m) and W0 = D0'B = C A_a^{-1} B (p x m).
+
+    Non-finite solves raise ValueError: the shift is numerically unusable.
+    """
+    D0 = shifted.solve_t(np.asarray(problem.C.T, dtype=float))
+    P0 = shifted.solve(np.asarray(problem.B, dtype=float))
+    if not (np.all(np.isfinite(D0)) and np.all(np.isfinite(P0))):
+        raise ValueError("shifted solves produced non-finite values; "
+                         "the shift is numerically unusable")
+    return D0, P0, D0.T @ problem.B
 
 
 class BaseDoublingOperator:

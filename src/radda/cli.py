@@ -245,14 +245,15 @@ def _build_parser() -> argparse.ArgumentParser:
     one_problem.add_argument("--n", type=int, default=None,
                              help="problem size for --example (default 128)")
     one_problem.add_argument("--alpha", type=float, default=None,
-                             help="shift override (default: sqrt of norm "
-                                  "product)")
+                             help="shift override (default: a halving "
+                                  "search from sqrt of the norm product)")
 
     engine = argparse.ArgumentParser(add_help=False)
     engine.add_argument("--mode", choices=("lowrank", "dense"),
                         default="lowrank", help="solver selection")
     engine.add_argument("--truncate-tol", type=float, default=0.0,
-                        help="factor recompression cutoff (0 = off)")
+                        help="factor recompression cutoff (0 = off; "
+                             "lowrank mode only)")
 
     sub.add_parser("run", parents=[one_problem, engine, common],
                    help="single solve, per-iteration records")
@@ -282,6 +283,10 @@ def main(argv=None) -> int:
     if (args.tol <= 0 or args.maxit < 1
             or getattr(args, "truncate_tol", 0.0) < 0):
         _info("error: --tol must be > 0, --maxit >= 1, --truncate-tol >= 0")
+        return EXIT_USAGE
+    if getattr(args, "mode", None) == "dense" and args.truncate_tol > 0:
+        _info("error: --truncate-tol applies to --mode lowrank only; the "
+              "dense engine does not truncate")
         return EXIT_USAGE
 
     try:

@@ -86,11 +86,11 @@ def adda_solve_dense(problem: CareProblem, *, alpha: float | None = None,
                      tol: float = 1e-12, maxit: int = 30):
     """Dense doubling driver; returns (X, SolveReport).
 
-    Shares the low-rank driver's loop, stopping rule (relative residual
-    <= tol) and report layout, so the two modes can be compared row by
-    row.  The rank columns of the report carry the numerical ranks of the
-    dense iterates.  A SingularUpdateError carries the partial report in
-    .report.
+    Shares the low-rank driver's default shift (choose_alpha), loop,
+    stopping rule (relative residual <= tol) and report layout, so the
+    two modes can be compared row by row.  The rank columns of the report
+    carry the numerical ranks of the dense iterates.  A SingularUpdateError
+    carries the partial report in .report.
     """
     if problem.n > DENSE_CAP:
         raise SizeCapError(

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cayley import BaseDoublingOperator, ShiftedFactorization, \
-    build_shifted, choose_alpha
+    base_blocks, build_shifted, choose_alpha
 from .problems import BreakdownError, CareProblem, LowRankSymmetric, drive, \
     iterate, lu_small, qnorm as _qnorm_of, spectral_norm_sym
 
@@ -123,12 +123,7 @@ def init_lowrank(problem: CareProblem,
     where W0 = D0' B = C A_a^{-1} B is formed once and serves both cores
     and the base operator.
     """
-    D0 = shifted.solve_t(np.asarray(problem.C.T, dtype=float))
-    P0 = shifted.solve(np.asarray(problem.B, dtype=float))
-    if not (np.all(np.isfinite(D0)) and np.all(np.isfinite(P0))):
-        raise ValueError("shifted solves produced non-finite values; "
-                         "the shift is numerically unusable")
-    W0 = D0.T @ problem.B
+    D0, P0, W0 = base_blocks(problem, shifted)
     two_a = 2.0 * shifted.alpha
     p, m = problem.p, problem.m
     Sigma0 = two_a * np.linalg.inv(np.eye(p) + W0 @ W0.T)
@@ -306,7 +301,8 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
     problem : CareProblem
         Coefficient data; A may be sparse (preferred at scale) or dense.
     alpha : float, optional
-        Positive shift.  Default: sqrt(||A||_1 ||A||_inf).
+        Positive shift.  Default: choose_alpha(problem), the best rung of
+        a halving search that starts at sqrt(||A||_1 ||A||_inf).
     tol : float
         Stop once the relative residual drops to tol or below.
     maxit : int
@@ -325,7 +321,8 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
     Raises
     ------
     ShiftSingularError
-        if A - alpha I is singular.
+        if A - alpha I is singular (for the default shift: at the search's
+        first rung, sqrt(||A||_1 ||A||_inf)).
     BreakdownError
         if a small-core solve fails mid-run; the exception carries the
         partial report in .report.

@@ -74,7 +74,8 @@ class CareProblem:
 
     Q = C'C and G = BB' are implied and never stored; the low-rank solver
     only touches them through B and C.  A may be a scipy.sparse matrix
-    (the banded generators produce CSR) or a dense ndarray.
+    (the banded generators produce CSR) or a dense ndarray.  Wrong shapes
+    and non-finite entries raise ValueError.
     """
 
     A: sp.spmatrix | np.ndarray
@@ -89,6 +90,10 @@ class CareProblem:
             raise ValueError(f"B must be {n} x m, got shape {self.B.shape}")
         if self.C.ndim != 2 or self.C.shape[1] != n:
             raise ValueError(f"C must be p x {n}, got shape {self.C.shape}")
+        a_entries = self.A.tocsr().data if sp.issparse(self.A) else self.A
+        for name, M in (("A", a_entries), ("B", self.B), ("C", self.C)):
+            if not np.all(np.isfinite(M)):
+                raise ValueError(f"{name} has non-finite entries")
 
     @property
     def n(self) -> int:

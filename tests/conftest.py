@@ -34,3 +34,28 @@ def random_stable_problem(rng, n, mp=1, scale=0.1):
 
 def scalar_problem(a=-1.0, b=1.0, c=1.0):
     return CareProblem(np.array([[a]]), np.array([[b]]), np.array([[c]]))
+
+
+def convection_diffusion_problem(rng, N, conv=10.0):
+    """Centred-difference 2D convection-diffusion on an N x N interior
+    grid of the unit square, with velocity (x, y) scaled by conv.
+
+    A = (I(x)T + T(x)I)/h^2 - conv diag(x)(I(x)D) - conv diag(y)(D(x)I),
+    h = 1/(N+1), T = tridiag(1, -2, 1), D = tridiag(-1, 0, 1)/(2h);
+    B (n x 1) and C (1 x n) are standard normal.  The spectrum spreads
+    over about 4/h^2 : 2 pi^2, so the norm shift sits far above the best
+    single shift.
+    """
+    h = 1.0 / (N + 1)
+    eye = sp.identity(N, format="csr")
+    T = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(N, N))
+    D = sp.diags([-1.0, 0.0, 1.0], [-1, 0, 1], shape=(N, N)) / (2.0 * h)
+    grid = h * np.arange(1, N + 1)
+    x = np.tile(grid, N)
+    y = np.repeat(grid, N)
+    A = ((sp.kron(eye, T) + sp.kron(T, eye)) / h ** 2
+         - conv * sp.diags(x) @ sp.kron(eye, D)
+         - conv * sp.diags(y) @ sp.kron(D, eye))
+    n = N * N
+    return CareProblem(A.tocsr(), rng.standard_normal((n, 1)),
+                       rng.standard_normal((1, n)))

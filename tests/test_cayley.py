@@ -1,22 +1,104 @@
 """Shift choice, shifted factorizations, and the two initializations."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_stable_problem, scalar_problem
+from conftest import (convection_diffusion_problem, random_stable_problem,
+                      scalar_problem)
 from radda import (CareProblem, ShiftSingularError, SizeCapError,
                    build_shifted, choose_alpha, init_dense, init_lowrank,
-                   make_example1, make_example2)
+                   make_example1, make_example2, radda_solve)
+from radda.cayley import RATE_APPLIES
 
 
 class TestChooseAlpha:
-    def test_example_values_are_exact(self):
-        # both norms equal the interior row/column sums once n is big
-        # enough for an interior row to exist
-        assert choose_alpha(make_example1(8)) == 17.0
-        assert choose_alpha(make_example1(512)) == 17.0
-        assert choose_alpha(make_example2(16)) == 18.0
+    @pytest.fixture
+    def rungs(self, monkeypatch):
+        """The shifts the search factors, in order."""
+        import radda.cayley as cayley_mod
+        tried = []
+        build = cayley_mod.build_shifted
+
+        def recorded(problem, alpha):
+            tried.append(alpha)
+            return build(problem, alpha)
+
+        monkeypatch.setattr(cayley_mod, "build_shifted", recorded)
+        return tried
+
+    def test_example_values_are_exact(self, rungs):
+        # the ladder starts at sqrt(||A||_1 ||A||_inf), whose norms equal
+        # the interior row/column sums once n is big enough for an interior
+        # row to exist, and halves from there until the rate stops falling
+        for problem, tried, chosen in (
+                (make_example1(8), [17.0, 8.5], 17.0),
+                (make_example1(512), [17.0, 8.5], 17.0),
+                (make_example2(16), [18.0, 9.0, 4.5], 9.0)):
+            rungs.clear()
+            assert choose_alpha(problem) == chosen
+            assert rungs == tried
+
+    def test_spread_spectrum_takes_a_lower_rung(self, rungs):
+        p = convection_diffusion_problem(np.random.default_rng(0), 16)
+        alpha = choose_alpha(p)
+        alpha0 = rungs[0]
+        assert alpha < alpha0 / 4
+        kw = dict(tol=1e-10, truncate_tol=1e-13)
+        _, at_norm_shift = radda_solve(p, alpha=alpha0, **kw)
+        _, at_chosen = radda_solve(p, **kw)
+        assert at_chosen.alpha == alpha
+        assert at_norm_shift.termination == "converged"
+        assert at_chosen.termination == "converged"
+        assert at_chosen.iterations < at_norm_shift.iterations
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_singular_later_rung_ends_search(self, rungs, sparse):
+        # the norm shift is 4, and A - 2I is exactly singular
+        A = np.diag([-4.0, 2.0, -1.0])
+        p = CareProblem(sp.csr_matrix(A) if sparse else A, np.ones((3, 1)),
+                        np.ones((1, 3)))
+        assert choose_alpha(p) == 4.0
+        assert rungs == [4.0, 2.0]
+
+    def test_singular_first_rung_raises(self):
+        p = CareProblem(np.eye(3), np.ones((3, 1)), np.ones((1, 3)))
+        with pytest.raises(ShiftSingularError):
+            choose_alpha(p)
+
+    def test_each_rung_costs_rate_applies(self, rungs, monkeypatch):
+        import radda.cayley as cayley_mod
+        widths = []
+        op = cayley_mod.BaseDoublingOperator
+        apply = op.apply
+
+        def counted(self, Z):
+            widths.append(Z.shape[1])
+            return apply(self, Z)
+
+        monkeypatch.setattr(op, "apply", counted)
+        p = random_stable_problem(np.random.default_rng(4), 30, mp=2)
+        choose_alpha(p)
+        assert len(rungs) >= 2
+        assert widths == [p.m] * (RATE_APPLIES * len(rungs))
+
+    def test_each_rung_is_freed_before_the_next(self, monkeypatch):
+        import radda.cayley as cayley_mod
+        live = []
+        build = cayley_mod.build_shifted
+
+        def tracked(problem, alpha):
+            assert all(ref() is None for ref in live)
+            shifted = build(problem, alpha)
+            live.append(weakref.ref(shifted))
+            return shifted
+
+        monkeypatch.setattr(cayley_mod, "build_shifted", tracked)
+        choose_alpha(convection_diffusion_problem(np.random.default_rng(1),
+                                                  8))
+        assert len(live) >= 3
 
     def test_sparse_and_dense_paths_agree(self):
         p = random_stable_problem(np.random.default_rng(6), 13, mp=2)

@@ -207,6 +207,18 @@ class TestUsageErrors:
         assert out == ""
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--example", "1", "--n", "32"],
+        ["sweep", "--example", "1", "--sizes", "32"],
+    ])
+    def test_dense_mode_rejects_truncation(self, capsys, argv):
+        # the dense engine has no truncation, so the flag would be ignored
+        code, out, err = run_main(
+            capsys, argv + ["--mode", "dense", "--truncate-tol", "1e-3"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--truncate-tol" in err
+
 
 class TestCompare:
     def test_lockstep_csv(self, capsys):

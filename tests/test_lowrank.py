@@ -12,6 +12,7 @@ from radda import (BreakdownError, CareProblem, RaddaState, adda_solve_dense,
                    make_example1, make_example2, qnorm, radda_solve,
                    radda_step, residual_dense, residual_lowrank,
                    truncate_factors)
+from radda.cayley import _norm_shift
 
 SQRT2 = np.sqrt(2.0)
 
@@ -166,16 +167,18 @@ class TestBaseSolveColumns:
     ])
     def test_untruncated_run(self, cols, make, K, expected):
         # the first step applies depth 0 to p + m columns; step k >= 1
-        # applies depth k-1 twice per side at half width, 2 (p+m) 4^(k-1)
+        # applies depth k-1 twice per side at half width, 2 (p+m) 4^(k-1).
+        # A given shift keeps the default shift's search out of the count.
         p = make()
-        _, report = radda_solve(p, tol=1e-30, maxit=K)
+        _, report = radda_solve(p, alpha=_norm_shift(p), tol=1e-30, maxit=K)
         assert report.iterations == K
         assert cols[0] == expected == (p.p + p.m) * (1 + (4 ** K - 4) // 6)
 
     def test_truncated_run(self, cols):
         # truncation rebuilds the factors, so each step applies the full
         # depth-k chain once per side: 2^k (r_x + r_y) columns
-        _, report = radda_solve(make_example1(2000), truncate_tol=1e-13)
+        _, report = radda_solve(make_example1(2000), alpha=17.0,
+                                truncate_tol=1e-13)
         assert report.termination == "converged"
         steps = report.rank_history[:-1]
         assert cols[0] == sum(2 ** k * (rx + ry) for k, rx, ry in steps)

@@ -79,6 +79,23 @@ class TestContainers:
         with pytest.raises(ValueError):
             CareProblem(A, np.ones(4), np.ones((1, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sparse_a_rejected(self, bad):
+        A = make_example1(6).A.copy()
+        A.data[4] = bad
+        with pytest.raises(ValueError, match="A has non-finite"):
+            CareProblem(A, np.ones((6, 1)), np.ones((1, 6)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_dense_data_rejected(self, bad):
+        for name in "ABC":
+            data = {"A": -np.eye(4), "B": np.ones((4, 1)),
+                    "C": np.ones((1, 4))}
+            data[name] = data[name].copy()
+            data[name][-1, 0] = bad
+            with pytest.raises(ValueError, match=f"{name} has non-finite"):
+                CareProblem(**data)
+
     def test_lowrank_container(self):
         F = np.arange(8.0).reshape(4, 2)
         S = np.array([[2.0, 1.0], [1.0, -3.0]])
