@@ -1,5 +1,5 @@
-"""Shift selection and the shifted-solve kernels feeding both doubling
-iterations.
+"""Shift selection for both doubling iterations, and the k = 0 operator of
+the low-rank one.
 
 Everything revolves around A_a = A - a I for a positive shift a: one LU of
 A_a is reused for every block solve with A_a and A_a', and the inverses of
@@ -14,8 +14,6 @@ large-scale path never forms an n x n inverse.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -27,20 +25,6 @@ from .problems import CareProblem
 
 class ShiftSingularError(RuntimeError):
     """A - a I is singular; retry with a different shift."""
-
-
-@dataclass(frozen=True)
-class ShiftedFactorization:
-    """Reusable solve handles for the shifted matrix A_a = A - a I.
-
-    solve applies A_a^{-1} and solve_t applies A_a^{-T}, both accepting
-    n x t blocks; a single factorization backs the pair.
-    """
-
-    alpha: float
-    n: int
-    solve: Callable[[np.ndarray], np.ndarray]
-    solve_t: Callable[[np.ndarray], np.ndarray]
 
 
 #: base applies behind each rung's doubling-rate estimate
@@ -56,15 +40,9 @@ MAX_RUNGS = 20
 def _norm_shift(problem: CareProblem) -> float:
     """sqrt(||A||_1 ||A||_inf): scale-aware, cheap, positive for any
     nonzero A, and an upper bound on the spectral radius of A."""
-    A = problem.A
-    if sp.issparse(A):
-        absA = abs(A)
-        n1 = float(np.asarray(absA.sum(axis=0)).max())
-        ninf = float(np.asarray(absA.sum(axis=1)).max())
-    else:
-        absA = np.abs(np.asarray(A, dtype=float))
-        n1 = float(absA.sum(axis=0).max())
-        ninf = float(absA.sum(axis=1).max())
+    absA = abs(problem.A)
+    n1 = float(np.asarray(absA.sum(axis=0)).max())
+    ninf = float(np.asarray(absA.sum(axis=1)).max())
     alpha = float(np.sqrt(n1 * ninf))
     if alpha <= 0.0:
         raise ValueError("A = 0 admits no positive default shift")
@@ -107,13 +85,11 @@ def _doubling_rate(problem: CareProblem, alpha: float) -> float:
 
     From z = P0 / ||P0||_F (P0 = A_a^{-1} B), RATE_APPLIES applies of E_a,
     renormalizing after each, give the geometric mean of the growth
-    factors ||E_a z||_F.  The factorization of A - alpha I lives only as
-    long as this call.
+    factors ||E_a z||_F.  The operator, and with it the factorization of
+    A - alpha I, lives only as long as this call.
     """
-    shifted = build_shifted(problem, alpha)
-    D0, P0, W0 = base_blocks(problem, shifted)
-    op = BaseDoublingOperator(problem, shifted, D0, P0, W0)
-    z = P0
+    op = build_shifted(problem, alpha)
+    z = op.P0
     scale = float(np.linalg.norm(z))
     rate = 1.0
     for _ in range(RATE_APPLIES):
@@ -125,15 +101,29 @@ def _doubling_rate(problem: CareProblem, alpha: float) -> float:
     return rate
 
 
-def build_shifted(problem: CareProblem, alpha: float) -> ShiftedFactorization:
-    """Factor A - alpha I once and wrap the forward/transposed solves.
-
-    Sparse A goes through SuperLU (one factorization serves both
-    orientations); dense A through an LAPACK LU.  An exactly singular
-    shifted matrix raises ShiftSingularError.
-    """
+def check_shift(alpha: float) -> None:
+    """Raise ValueError unless alpha is a positive, finite shift."""
     if not np.isfinite(alpha) or alpha <= 0.0:
         raise ValueError(f"shift must be positive and finite, got {alpha}")
+
+
+def build_shifted(problem: CareProblem, alpha: float) -> BaseDoublingOperator:
+    """The k = 0 doubling operator at shift alpha.
+
+    Factors A - alpha I once (SuperLU for sparse A, one factorization
+    serving both orientations; an LAPACK LU for dense A), then solves for
+    D0 and P0 and forms W0 and the Cholesky factor of the operator's core.
+    An exactly singular shifted matrix raises ShiftSingularError; a bad
+    shift, or shifted solves that come out non-finite, raise ValueError.
+    """
+    check_shift(alpha)
+    return BaseDoublingOperator(problem, alpha, _factor(problem, alpha))
+
+
+def _factor(problem: CareProblem, alpha: float):
+    """solve(Z, transposed=False) applying A_a^{-1} (or A_a^{-T}) to an
+    n x t block, from one factorization of A_a = A - alpha I.  A_a itself
+    is freed on return, before any solve runs."""
     n = problem.n
     if sp.issparse(problem.A):
         Aa = (problem.A - alpha * sp.identity(n, format="csr")).tocsc()
@@ -143,79 +133,64 @@ def build_shifted(problem: CareProblem, alpha: float) -> ShiftedFactorization:
             raise ShiftSingularError(
                 f"A - {alpha} I is singular; pick a different shift") from exc
 
-        def solve(Z, _lu=lu):
-            return _lu.solve(np.asarray(Z, dtype=float))
+        def solve(Z, transposed=False):
+            return lu.solve(np.asarray(Z, dtype=float),
+                            trans="T" if transposed else "N")
+        return solve
 
-        def solve_t(Z, _lu=lu):
-            return _lu.solve(np.asarray(Z, dtype=float), trans="T")
-    else:
-        Aa = problem.a_dense() - alpha * np.eye(n)
-        with warnings.catch_warnings():
-            # exact singularity is reported as an exception below, not a warning
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv = sla.lu_factor(Aa, check_finite=True)
-        if np.abs(np.diag(lu)).min() == 0.0:
-            raise ShiftSingularError(
-                f"A - {alpha} I is singular; pick a different shift")
+    Aa = problem.a_dense() - alpha * np.eye(n)
+    with warnings.catch_warnings():
+        # exact singularity is reported as an exception below, not a warning
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu_piv = sla.lu_factor(Aa, check_finite=True)
+    if np.abs(np.diag(lu_piv[0])).min() == 0.0:
+        raise ShiftSingularError(
+            f"A - {alpha} I is singular; pick a different shift")
 
-        def solve(Z, _lu=lu, _piv=piv):
-            return sla.lu_solve((_lu, _piv), np.asarray(Z, dtype=float))
-
-        def solve_t(Z, _lu=lu, _piv=piv):
-            return sla.lu_solve((_lu, _piv), np.asarray(Z, dtype=float),
-                                trans=1)
-
-    return ShiftedFactorization(alpha=float(alpha), n=n,
-                                solve=solve, solve_t=solve_t)
-
-
-def base_blocks(problem: CareProblem, shifted: ShiftedFactorization):
-    """(D0, P0, W0) at the shift of shifted: D0 = A_a^{-T} C' (n x p),
-    P0 = A_a^{-1} B (n x m) and W0 = D0'B = C A_a^{-1} B (p x m).
-
-    Non-finite solves raise ValueError: the shift is numerically unusable.
-    """
-    D0 = shifted.solve_t(np.asarray(problem.C.T, dtype=float))
-    P0 = shifted.solve(np.asarray(problem.B, dtype=float))
-    if not (np.all(np.isfinite(D0)) and np.all(np.isfinite(P0))):
-        raise ValueError("shifted solves produced non-finite values; "
-                         "the shift is numerically unusable")
-    return D0, P0, D0.T @ problem.B
+    def solve(Z, transposed=False):
+        return sla.lu_solve(lu_piv, np.asarray(Z, dtype=float),
+                            trans=int(transposed))
+    return solve
 
 
 class BaseDoublingOperator:
-    """Matrix-free form of I + 2a V_a^{-1}, the depth-0 doubling operator.
+    """The k = 0 doubling operator I + 2a V_a^{-1} at one shift a, matrix-free.
 
-    V_a^{-1} = A_a^{-1} - A_a^{-1} B (I + B' A_a^{-T} Q A_a^{-1} B)^{-1}
-               B' A_a^{-T} Q A_a^{-1}
-    by the Woodbury identity, and with D0 = A_a^{-T} C', P0 = A_a^{-1} B,
-    W0 = D0'B the m x m core collapses to I + W0'W0 (SPD, one Cholesky).
-    apply costs one shifted solve plus thin corrections; apply_t is the
-    transposed action from the same data.
+    By the Woodbury identity
+
+        V_a^{-1} = A_a^{-1} - P0 (I + W0'W0)^{-1} W0' C A_a^{-1},
+
+    with the k = 0 blocks D0 = A_a^{-T} C' (n x p), P0 = A_a^{-1} B
+    (n x m) and W0 = D0'B = C A_a^{-1} B (p x m), exposed as attributes
+    beside alpha; the m x m core I + W0'W0 is SPD and factored once by
+    Cholesky.  apply costs one shifted solve plus thin corrections, and
+    apply_t is the transposed action from the same data.  Built by
+    build_shifted.
     """
 
-    def __init__(self, problem: CareProblem, shifted: ShiftedFactorization,
-                 D0: np.ndarray, P0: np.ndarray, W0: np.ndarray):
+    def __init__(self, problem: CareProblem, alpha: float, solve):
+        D0 = solve(problem.C.T, transposed=True)
+        P0 = solve(problem.B)
+        if not (np.all(np.isfinite(D0)) and np.all(np.isfinite(P0))):
+            raise ValueError("shifted solves produced non-finite values; "
+                             "the shift is numerically unusable")
+        self.alpha = float(alpha)
+        self.D0 = D0
+        self.P0 = P0
+        self.W0 = D0.T @ problem.B
         self._C = problem.C
         self._B = problem.B
-        self._shifted = shifted
-        self._two_alpha = 2.0 * shifted.alpha
-        self._P0 = P0
-        self._W0 = W0
-        self._E0 = D0 @ W0
-        m = problem.m
-        self._chol = sla.cho_factor(np.eye(m) + W0.T @ W0)
-
-    @property
-    def n(self) -> int:
-        return self._shifted.n
+        self._solve = solve
+        self._two_alpha = 2.0 * self.alpha
+        self._E0 = D0 @ self.W0
+        self._chol = sla.cho_factor(np.eye(problem.m) + self.W0.T @ self.W0)
 
     def apply(self, Z: np.ndarray) -> np.ndarray:
-        u = self._shifted.solve(Z)
-        h = sla.cho_solve(self._chol, self._W0.T @ (self._C @ u))
-        return Z + self._two_alpha * (u - self._P0 @ h)
+        u = self._solve(Z)
+        h = sla.cho_solve(self._chol, self.W0.T @ (self._C @ u))
+        return Z + self._two_alpha * (u - self.P0 @ h)
 
     def apply_t(self, Z: np.ndarray) -> np.ndarray:
-        v = self._shifted.solve_t(Z)
+        v = self._solve(Z, transposed=True)
         h = sla.cho_solve(self._chol, self._B.T @ v)
         return Z + self._two_alpha * (v - self._E0 @ h)

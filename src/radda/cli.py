@@ -149,9 +149,9 @@ def cmd_compare(args) -> int:
         return max(res_lr, res_dn)
 
     try:
-        shifted = build_shifted(problem, alpha)
-        pairs = zip(iterate(init_lowrank(problem, shifted), radda_step),
-                    iterate(init_dense(problem, shifted), adda_step_dense))
+        op = build_shifted(problem, alpha)
+        pairs = zip(iterate(init_lowrank(problem, op), radda_step),
+                    iterate(init_dense(problem, alpha), adda_step_dense))
         _, report = drive(pairs, residuals,
                           lambda pair: (pair[0].rank_x, pair[0].rank_y),
                           args.tol, args.maxit, perf_counter(), alpha)

@@ -12,7 +12,7 @@ from time import perf_counter
 import numpy as np
 import scipy.linalg as sla
 
-from .cayley import ShiftedFactorization, build_shifted, choose_alpha
+from .cayley import ShiftSingularError, check_shift, choose_alpha
 from .problems import (BreakdownError, CareProblem, DENSE_CAP, SizeCapError,
                        drive, iterate, lu_small, residual_dense)
 
@@ -31,25 +31,32 @@ class AddaDenseState:
     Y: np.ndarray
 
 
-def init_dense(problem: CareProblem,
-               shifted: ShiftedFactorization) -> AddaDenseState:
-    """Dense starting iterate (Ahat0, X0, Y0) of the reference iteration:
+def init_dense(problem: CareProblem, alpha: float) -> AddaDenseState:
+    """Dense starting iterate (Ahat0, X0, Y0) of the reference iteration
+    at shift a = alpha:
 
         Ahat0 = I + 2a V_a^{-1},
         X0    = 2a U_a^{-1} Q A_a^{-1},
         Y0    = 2a A_a^{-1} G U_a^{-1},
 
-    with X0, Y0 symmetrized.  Desk-scale only (n <= DENSE_CAP).
+    with X0, Y0 symmetrized.  The only factorization is the dense inverse
+    of A_a = A - a I; it shares nothing with the low-rank operator.  A
+    non-positive or non-finite shift raises ValueError, an exactly
+    singular A_a ShiftSingularError.  Desk-scale only (n <= DENSE_CAP).
     """
+    check_shift(alpha)
     n = problem.n
     if n > DENSE_CAP:
         raise SizeCapError(f"n={n} exceeds the dense cap {DENSE_CAP}")
-    alpha = shifted.alpha
     A = problem.a_dense()
     G = problem.B @ problem.B.T
     Q = problem.C.T @ problem.C
     Aa = A - alpha * np.eye(n)
-    Aa_inv = np.linalg.inv(Aa)
+    try:
+        Aa_inv = np.linalg.inv(Aa)
+    except np.linalg.LinAlgError as exc:
+        raise ShiftSingularError(
+            f"A - {alpha} I is singular; pick a different shift") from exc
     Ua = Aa.T + Q @ Aa_inv @ G
     Va = Aa + G @ Aa_inv.T @ Q
     Ahat0 = np.eye(n) + 2.0 * alpha * np.linalg.inv(Va)
@@ -99,7 +106,7 @@ def adda_solve_dense(problem: CareProblem, *, alpha: float | None = None,
         raise ValueError("tol must be positive and maxit at least 1")
     t0 = perf_counter()
     a = choose_alpha(problem) if alpha is None else float(alpha)
-    state = init_dense(problem, build_shifted(problem, a))
+    state = init_dense(problem, a)
     state, report = drive(
         iterate(state, adda_step_dense),
         lambda s: residual_dense(problem, s.X),

@@ -16,63 +16,47 @@ per side, 2^k (p_k + m_k) columns.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
 import scipy.linalg as sla
 
-from .cayley import BaseDoublingOperator, ShiftedFactorization, \
-    base_blocks, build_shifted, choose_alpha
+from .cayley import BaseDoublingOperator, build_shifted, choose_alpha
 from .problems import BreakdownError, CareProblem, LowRankSymmetric, drive, \
-    iterate, lu_small, qnorm as _qnorm_of, spectral_norm_sym
+    iterate, lu_small, qnorm as _qnorm_of, relative_residual, \
+    spectral_norm_sym
 
 
-@dataclass(frozen=True)
-class ImplicitAhat:
-    """The depth-k doubling operator in square-plus-thin-update form.
+def apply_ahat(base: BaseDoublingOperator, chain: tuple, Z: np.ndarray,
+               transposed: bool = False) -> np.ndarray:
+    """Apply the depth-k doubling operator (or its transpose) to an n x t
+    block.
 
     Level j acts as the square of level j-1 plus a thin correction
-    U_j V_j', so corrections[j-1] = (U_j, V_j) with n x p_{j-1} blocks.
-    States are immutable; a step extends the chain via extended().
-    """
-
-    base: BaseDoublingOperator
-    corrections: tuple = ()
-
-    @property
-    def depth(self) -> int:
-        return len(self.corrections)
-
-    def extended(self, U: np.ndarray, V: np.ndarray) -> "ImplicitAhat":
-        return ImplicitAhat(self.base, self.corrections + ((U, V),))
-
-
-def apply_ahat(ahat: ImplicitAhat, Z: np.ndarray,
-               transposed: bool = False) -> np.ndarray:
-    """Apply the depth-k operator (or its transpose) to an n x t block.
-
-    The recursion  A_j Z = A_{j-1}(A_{j-1} Z) + U_j (V_j' Z)  costs 2^k
-    base applies of the full width of Z, which stays cheap for the small
+    U_j V_j', with chain[j-1] = (U_j, V_j) holding n x p_{j-1} blocks and
+    level 0 the base operator.  The recursion
+    A_j Z = A_{j-1}(A_{j-1} Z) + U_j (V_j' Z)  costs 2^k base applies of
+    the full width of Z, k = len(chain), which stays cheap for the small
     iteration counts the quadratic convergence produces.
     """
     Z = np.asarray(Z, dtype=float)
     squeeze = Z.ndim == 1
     if squeeze:
         Z = Z[:, None]
-    out = _apply_level(ahat, ahat.depth, Z, transposed)
+    out = _apply_level(base, chain, len(chain), Z, transposed)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("operator apply produced non-finite values")
     return out[:, 0] if squeeze else out
 
 
-def _apply_level(ahat: ImplicitAhat, j: int, Z: np.ndarray,
-                 transposed: bool) -> np.ndarray:
+def _apply_level(base: BaseDoublingOperator, chain: tuple, j: int,
+                 Z: np.ndarray, transposed: bool) -> np.ndarray:
     if j == 0:
-        return ahat.base.apply_t(Z) if transposed else ahat.base.apply(Z)
-    U, V = ahat.corrections[j - 1]
-    inner = _apply_level(ahat, j - 1, _apply_level(ahat, j - 1, Z, transposed),
+        return base.apply_t(Z) if transposed else base.apply(Z)
+    U, V = chain[j - 1]
+    inner = _apply_level(base, chain, j - 1,
+                         _apply_level(base, chain, j - 1, Z, transposed),
                          transposed)
     if transposed:
         return inner + V @ (U.T @ Z)
@@ -81,8 +65,12 @@ def _apply_level(ahat: ImplicitAhat, j: int, Z: np.ndarray,
 
 @dataclass(frozen=True)
 class RaddaState:
-    """One factored iterate: X_k = D Sigma D', Y_k = P Gamma P', the implicit
-    doubling operator, and the cached cross-Gram matrix D'P.
+    """One factored iterate: X_k = D Sigma D', Y_k = P Gamma P', the
+    depth-k doubling operator and the cached cross-Gram matrix D'P.
+
+    The operator ahat_k is the base operator followed by chain, the
+    tuple of k thin corrections (U_j, V_j) that apply_ahat reads; a step
+    appends one and never rebuilds the base.
 
     doubled marks factors that are exactly the previous step's factors
     followed by the blocks that step appended: D = [D_{k-1}, V_k] with V_k
@@ -97,7 +85,8 @@ class RaddaState:
     Sigma: np.ndarray
     P: np.ndarray
     Gamma: np.ndarray
-    ahat: ImplicitAhat
+    base: BaseDoublingOperator
+    chain: tuple
     cross: np.ndarray
     doubled: bool = False
 
@@ -111,35 +100,35 @@ class RaddaState:
 
 
 def init_lowrank(problem: CareProblem,
-                 shifted: ShiftedFactorization) -> RaddaState:
-    """Build the factored k = 0 iterate without any n x n algebra.
+                 op: BaseDoublingOperator) -> RaddaState:
+    """The factored k = 0 iterate on the base operator op (build_shifted).
 
-    D0 = A_a^{-T} C' and P0 = A_a^{-1} B carry the column spaces; the
-    p x p / m x m cores are the resolvents
+    op's D0 = A_a^{-T} C' and P0 = A_a^{-1} B are the factors; this builds
+    only the p x p / m x m cores, the resolvents
 
         Sigma0 = 2a (I + W0 W0')^{-1},
         Gamma0 = 2a (I + W0' W0)^{-1},
 
-    where W0 = D0' B = C A_a^{-1} B is formed once and serves both cores
-    and the base operator.
+    from op's W0 = D0' B = C A_a^{-1} B.  No n x n algebra and no solve.
     """
-    D0, P0, W0 = base_blocks(problem, shifted)
-    two_a = 2.0 * shifted.alpha
+    D0, P0, W0 = op.D0, op.P0, op.W0
+    two_a = 2.0 * op.alpha
     p, m = problem.p, problem.m
     Sigma0 = two_a * np.linalg.inv(np.eye(p) + W0 @ W0.T)
     Gamma0 = two_a * np.linalg.inv(np.eye(m) + W0.T @ W0)
     Sigma0 = (Sigma0 + Sigma0.T) / 2.0
     Gamma0 = (Gamma0 + Gamma0.T) / 2.0
-    ahat0 = BaseDoublingOperator(problem, shifted, D0, P0, W0)
     return RaddaState(k=0, D=D0, Sigma=Sigma0, P=P0, Gamma=Gamma0,
-                      ahat=ImplicitAhat(base=ahat0), cross=D0.T @ P0)
+                      base=op, chain=(), cross=D0.T @ P0)
 
 
-def _first_two_powers(ahat: ImplicitAhat, Z: np.ndarray,
-                      transposed: bool) -> np.ndarray:
-    """[ahat Z, ahat^2 Z] (or the transposed powers) as one n x 2t block."""
-    S = apply_ahat(ahat, Z, transposed=transposed)
-    return np.hstack([S, apply_ahat(ahat, S, transposed=transposed)])
+def _first_two_powers(base: BaseDoublingOperator, chain: tuple,
+                      Z: np.ndarray, transposed: bool) -> np.ndarray:
+    """[ahat Z, ahat^2 Z] (or the transposed powers) as one n x 2t block,
+    for the operator of base and chain.  S is freed on return, before the
+    caller adds its correction."""
+    S = apply_ahat(base, chain, Z, transposed=transposed)
+    return np.hstack([S, apply_ahat(base, chain, S, transposed=transposed)])
 
 
 def radda_step(state: RaddaState) -> RaddaState:
@@ -187,17 +176,19 @@ def radda_step(state: RaddaState) -> RaddaState:
     # I + (D'YD) Sigma transposes into the factor already at hand
     small = sla.lu_solve(lu_s, (Gamma @ W.T @ Sigma).T).T
 
+    base, chain = state.base, state.chain
     if state.doubled:
-        prev = ImplicitAhat(state.ahat.base, state.ahat.corrections[:-1])
-        U_k, V_k = state.ahat.corrections[-1]
-        D_new = _first_two_powers(prev, V_k, transposed=True)
+        prev = chain[:-1]
+        U_k, V_k = chain[-1]
+        D_new = _first_two_powers(base, prev, V_k, transposed=True)
         D_new += V_k @ (U_k.T @ D)
-        P_new = _first_two_powers(prev, P[:, m_k // 2:], transposed=False)
+        P_new = _first_two_powers(base, prev, P[:, m_k // 2:],
+                                  transposed=False)
         P_new += U_k @ (V_k.T @ P)
     else:
-        D_new = apply_ahat(state.ahat, D, transposed=True)
-        P_new = apply_ahat(state.ahat, P)
-    ahat_next = state.ahat.extended(-(P_new @ small), D_new)
+        D_new = apply_ahat(base, chain, D, transposed=True)
+        P_new = apply_ahat(base, chain, P)
+    chain_next = chain + ((-(P_new @ small), D_new),)
 
     cross_next = np.block([[W, D.T @ P_new],
                            [D_new.T @ P, D_new.T @ P_new]])
@@ -207,7 +198,8 @@ def radda_step(state: RaddaState) -> RaddaState:
         Sigma=sla.block_diag(Sigma, sigma_new),
         P=np.hstack([P, P_new]),
         Gamma=sla.block_diag(Gamma, gamma_new),
-        ahat=ahat_next,
+        base=base,
+        chain=chain_next,
         cross=cross_next,
         doubled=True,
     )
@@ -241,31 +233,13 @@ def residual_lowrank(problem: CareProblem, D: np.ndarray, Sigma: np.ndarray,
     F[:, :p] = problem.C.T
     F[:, p:p + r] = D
     F[:, p + r:] = problem.A.T @ D
-    if not np.all(np.isfinite(F)):
-        raise ValueError("array must not contain infs or NaNs")
-    R = _r_factor(F)
+    R = sla.qr(F, mode="raw", overwrite_a=True)[1]
     # R times the block core times R', one block at a time
     R1, R2, R3 = R[:, :p], R[:, p:p + r], R[:, p + r:]
     G = R2 @ (Sigma @ (D.T @ problem.B))
     M = (R2 @ Sigma) @ R3.T
     core = R1 @ R1.T - G @ G.T + M + M.T
-    num = spectral_norm_sym((core + core.T) / 2.0)
-    if qnorm == 0.0:
-        warnings.warn("C = 0 makes ||Q||_2 = 0; reporting the absolute "
-                      "residual instead of a relative one", RuntimeWarning)
-        return num
-    return num / qnorm
-
-
-def _r_factor(F: np.ndarray) -> np.ndarray:
-    """R of the economic QR of a Fortran-ordered float F, overwriting F."""
-    work, info = sla.lapack.dgeqrf_lwork(*F.shape)
-    if info == 0:
-        qr, _, _, info = sla.lapack.dgeqrf(F, lwork=max(int(work), 1),
-                                           overwrite_a=True)
-    if info != 0:
-        raise RuntimeError(f"LAPACK dgeqrf failed with info={info}")
-    return np.triu(qr[:min(F.shape)])
+    return relative_residual(spectral_norm_sym((core + core.T) / 2.0), qnorm)
 
 
 def truncate_factors(D: np.ndarray, Sigma: np.ndarray, tol: float):

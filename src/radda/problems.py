@@ -277,8 +277,13 @@ def residual_dense(problem: CareProblem, X: np.ndarray) -> float:
     Q = problem.C.T @ problem.C
     GX = problem.B @ (problem.B.T @ X)
     R = np.asarray(A.T @ X) + np.asarray(X @ A) - X @ GX + Q
-    num = spectral_norm_sym((R + R.T) / 2.0)
-    den = spectral_norm_sym(Q)
+    return relative_residual(spectral_norm_sym((R + R.T) / 2.0),
+                             spectral_norm_sym(Q))
+
+
+def relative_residual(num: float, den: float) -> float:
+    """num / den for a residual norm num and den = ||Q||_2, or num itself
+    with a RuntimeWarning when C = 0 makes den vanish."""
     if den == 0.0:
         warnings.warn("C = 0 makes ||Q||_2 = 0; reporting the absolute "
                       "residual instead of a relative one", RuntimeWarning)

@@ -60,7 +60,7 @@ def lowrank_state(problem, alpha):
 
 
 def dense_state(problem, alpha):
-    return init_dense(problem, build_shifted(problem, alpha))
+    return init_dense(problem, alpha)
 
 
 def reconstruct(F, S):

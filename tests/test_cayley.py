@@ -119,13 +119,14 @@ class TestBuildShifted:
         if not sparse:
             p = CareProblem(p.a_dense(), p.B, p.C)
         alpha = 3.5
-        sf = build_shifted(p, alpha)
+        op = build_shifted(p, alpha)
         Aa = p.a_dense() - alpha * np.eye(10)
-        Z = rng.standard_normal((10, 4))
-        np.testing.assert_allclose(sf.solve(Z), np.linalg.solve(Aa, Z),
+        assert op.alpha == alpha
+        np.testing.assert_allclose(op.D0, np.linalg.solve(Aa.T, p.C.T),
                                    atol=1e-12)
-        np.testing.assert_allclose(sf.solve_t(Z), np.linalg.solve(Aa.T, Z),
+        np.testing.assert_allclose(op.P0, np.linalg.solve(Aa, p.B),
                                    atol=1e-12)
+        np.testing.assert_array_equal(op.W0, op.D0.T @ p.B)
 
     def test_singular_shift_sparse(self):
         p = CareProblem(sp.identity(6, format="csr"), np.ones((6, 1)),
@@ -156,7 +157,7 @@ class TestInitLowRank:
         assert x0 == pytest.approx(0.4, abs=1e-15)
         # the k = 0 iterate: no chain corrections, the cached cross-Gram
         # D'P, and factors that no step has appended to
-        assert (init.k, init.ahat.depth, init.doubled) == (0, 0, False)
+        assert (init.k, len(init.chain), init.doubled) == (0, 0, False)
         np.testing.assert_array_equal(init.cross, init.D.T @ init.P)
 
     def test_cross_blocks_agree_both_routes(self):
@@ -170,9 +171,8 @@ class TestInitLowRank:
 
     def test_reconstruction_matches_dense_init(self):
         p = make_example1(16)
-        sf = build_shifted(p, 17.0)
-        init = init_lowrank(p, sf)
-        dense = init_dense(p, sf)
+        init = init_lowrank(p, build_shifted(p, 17.0))
+        dense = init_dense(p, 17.0)
         np.testing.assert_allclose(init.D @ init.Sigma @ init.D.T, dense.X,
                                    atol=1e-14 * np.abs(dense.X).max())
         np.testing.assert_allclose(init.P @ init.Gamma @ init.P.T, dense.Y,
@@ -194,12 +194,11 @@ class TestBaseOperator:
 
     def test_matches_dense_operator(self):
         p = make_example1(16)
-        sf = build_shifted(p, 17.0)
-        init = init_lowrank(p, sf)
-        ahat_dense = init_dense(p, sf).ahat
-        got = self.materialize(init.ahat.base, 16)
+        init = init_lowrank(p, build_shifted(p, 17.0))
+        ahat_dense = init_dense(p, 17.0).ahat
+        got = self.materialize(init.base, 16)
         np.testing.assert_allclose(got, ahat_dense, atol=1e-14)
-        got_t = self.materialize(init.ahat.base, 16, transposed=True)
+        got_t = self.materialize(init.base, 16, transposed=True)
         np.testing.assert_allclose(got_t, ahat_dense.T, atol=1e-14)
 
     def test_degenerate_input_is_pure_cayley(self):
@@ -209,20 +208,20 @@ class TestBaseOperator:
         p = CareProblem(A, np.zeros((n, 1)), np.zeros((1, n)))
         init = init_lowrank(p, build_shifted(p, alpha))
         cayley = np.linalg.solve(A - alpha * np.eye(n), A + alpha * np.eye(n))
-        got = self.materialize(init.ahat.base, n)
+        got = self.materialize(init.base, n)
         np.testing.assert_allclose(got, cayley, atol=1e-13)
 
     def test_scalar_value(self):
         p = scalar_problem()
         init = init_lowrank(p, build_shifted(p, 1.0))
-        got = init.ahat.base.apply(np.eye(1))[0, 0]
+        got = init.base.apply(np.eye(1))[0, 0]
         assert got == pytest.approx(0.2, abs=1e-15)
 
 
 class TestInitDense:
     def test_scalar_values(self):
         p = scalar_problem()
-        s0 = init_dense(p, build_shifted(p, 1.0))
+        s0 = init_dense(p, 1.0)
         assert s0.k == 0
         assert s0.ahat[0, 0] == pytest.approx(0.2, abs=1e-15)
         assert s0.X[0, 0] == pytest.approx(0.4, abs=1e-15)
@@ -230,11 +229,11 @@ class TestInitDense:
 
     def test_outputs_symmetric(self):
         p = make_example2(14)
-        s0 = init_dense(p, build_shifted(p, 18.0))
+        s0 = init_dense(p, 18.0)
         np.testing.assert_array_equal(s0.X, s0.X.T)
         np.testing.assert_array_equal(s0.Y, s0.Y.T)
 
     def test_cap(self):
         p = make_example1(600)
         with pytest.raises(SizeCapError):
-            init_dense(p, build_shifted(p, 17.0))
+            init_dense(p, 17.0)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import radda
 from radda import SingularUpdateError, cli
@@ -150,6 +151,16 @@ class TestRun:
         code, _, err = run_main(capsys, ["run", "--problem", str(path)])
         assert code == EXIT_BREAKDOWN
         assert "error:" in err
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_dense_singular_shift_is_exit_3(self, capsys, tmp_path, sparse):
+        path = tmp_path / "identity.json"
+        A = sp.identity(2, format="csr") if sparse else np.eye(2)
+        save_problem(path, CareProblem(A, np.ones((2, 1)), np.ones((1, 2))))
+        code, _, err = run_main(capsys, ["run", "--problem", str(path),
+                                         "--mode", "dense", "--alpha", "1"])
+        assert code == EXIT_BREAKDOWN
+        assert "singular" in err
 
 
 class TestUsageErrors:

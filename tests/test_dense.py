@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import random_stable_problem, scalar_problem
-from radda import (AddaDenseState, SingularUpdateError, SizeCapError,
-                   adda_solve_dense, adda_step_dense, build_shifted,
-                   care_oracle_small, choose_alpha, init_dense, make_example1,
-                   make_example2)
+from radda import (AddaDenseState, CareProblem, ShiftSingularError,
+                   SingularUpdateError, SizeCapError, adda_solve_dense,
+                   adda_step_dense, care_oracle_small, choose_alpha,
+                   init_dense, make_example1, make_example2)
 from verification import (build_verification_context,
                           verify_doubling_identities, verify_symplectic_pencil)
 
@@ -15,7 +16,7 @@ SQRT2 = np.sqrt(2.0)
 
 
 def dense_states(problem, alpha, kmax):
-    state = init_dense(problem, build_shifted(problem, alpha))
+    state = init_dense(problem, alpha)
     out = [state]
     for _ in range(kmax):
         state = adda_step_dense(state)
@@ -26,7 +27,7 @@ def dense_states(problem, alpha, kmax):
 class TestStep:
     def test_scalar_first_step_frozen_values(self):
         p = scalar_problem()
-        s0 = init_dense(p, build_shifted(p, 1.0))
+        s0 = init_dense(p, 1.0)
         s1 = adda_step_dense(s0)
         assert s1.k == 1
         # X1 = 0.4 + 0.2 * 0.4 * 0.2 / 1.16, ahat1 = 0.04 / 1.16
@@ -46,6 +47,30 @@ class TestStep:
         with pytest.raises(SingularUpdateError) as err:
             adda_step_dense(bad)
         assert err.value.k == 2
+
+
+class TestShift:
+    """The dense reference checks its shift itself; it builds no low-rank
+    operator to do so."""
+
+    @staticmethod
+    def identity_problem(sparse):
+        A = sp.identity(6, format="csr") if sparse else np.eye(6)
+        return CareProblem(A, np.ones((6, 1)), np.ones((1, 6)))
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    @pytest.mark.parametrize("alpha", [0.0, -2.0, np.nan, np.inf])
+    def test_bad_shift_rejected(self, alpha, sparse):
+        p = make_example1(8)
+        if not sparse:
+            p = CareProblem(p.a_dense(), p.B, p.C)
+        with pytest.raises(ValueError):
+            adda_solve_dense(p, alpha=alpha)
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_singular_shift(self, sparse):
+        with pytest.raises(ShiftSingularError):
+            adda_solve_dense(self.identity_problem(sparse), alpha=1.0)
 
 
 class TestSolve:

@@ -1,6 +1,10 @@
 """Factored doubling engine: operator chain, step algebra, residual,
 truncation, and the solve driver."""
 
+import importlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -22,7 +26,7 @@ def lowrank_state(problem, alpha):
 
 
 def dense_state(problem, alpha):
-    return init_dense(problem, build_shifted(problem, alpha))
+    return init_dense(problem, alpha)
 
 
 def uneven_problem():
@@ -92,7 +96,7 @@ class TestStepAlgebra:
         # forced singular core: I + Sigma * (D' Y D) = 1 + 1 * (-1) = 0
         bad = RaddaState(k=2, D=np.ones((3, 1)), Sigma=np.eye(1),
                          P=np.ones((3, 1)), Gamma=-np.eye(1),
-                         ahat=None, cross=np.eye(1))
+                         base=None, chain=(), cross=np.eye(1))
         with pytest.raises(BreakdownError) as err:
             radda_step(bad)
         assert err.value.k == 2
@@ -126,19 +130,20 @@ class TestDenseEquivalence:
             if k:
                 lr = radda_step(lr)
                 dn = adda_step_dense(dn)
-            got = apply_ahat(lr.ahat, eye)
+            got = apply_ahat(lr.base, lr.chain, eye)
             scale = np.linalg.norm(dn.ahat, "fro")
             assert np.linalg.norm(got - dn.ahat, "fro") <= 1e-12 * scale
-            got_t = apply_ahat(lr.ahat, eye, transposed=True)
+            got_t = apply_ahat(lr.base, lr.chain, eye, transposed=True)
             assert np.linalg.norm(got_t - dn.ahat.T, "fro") <= 1e-12 * scale
 
     def test_apply_accepts_vectors(self):
         p = make_example2(10)
         lr = radda_step(lowrank_state(p, 18.0))
         z = np.arange(10.0)
-        out = apply_ahat(lr.ahat, z)
+        out = apply_ahat(lr.base, lr.chain, z)
         assert out.shape == (10,)
-        np.testing.assert_allclose(out, apply_ahat(lr.ahat, z[:, None])[:, 0])
+        np.testing.assert_allclose(
+            out, apply_ahat(lr.base, lr.chain, z[:, None])[:, 0])
 
 
 class TestBaseSolveColumns:
@@ -202,7 +207,8 @@ class TestModifiedFactors:
         rng = np.random.default_rng(7)
         D, Sigma = rotate(lr.D, lr.Sigma, rng)
         P, Gamma = rotate(lr.P, lr.Gamma, rng)
-        lr = radda_step(RaddaState(lr.k, D, Sigma, P, Gamma, lr.ahat, D.T @ P))
+        lr = radda_step(RaddaState(lr.k, D, Sigma, P, Gamma, lr.base,
+                                   lr.chain, D.T @ P))
         dn = adda_step_dense(dn)
         assert lr.rank_x == 8 * p.p and lr.rank_y == 8 * p.m
         for got, want in ((reconstruct_x(lr), dn.X), (reconstruct_y(lr), dn.Y)):
@@ -419,18 +425,33 @@ class TestRandomSweep:
             assert err <= 1e-8 * np.linalg.norm(Xs, "fro")
 
 
-#: the names the benchmark's tracer replaces, per module, from outside the
-#: package; the solvers must call through the module attributes
+def _bench_tracing():
+    """bench/tracing.py, loaded by path: bench/ is not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _bench_tracing()
+
+#: the names the benchmark's tracer replaces in the two solver modules,
+#: from outside the package; the solvers must call through the module
+#: attributes
 TRACED_NAMES = {
-    "radda.lowrank": ("choose_alpha", "build_shifted", "init_lowrank",
-                      "radda_step", "apply_ahat", "truncate_factors",
-                      "residual_lowrank"),
-    "radda.dense": ("init_dense", "adda_step_dense", "residual_dense"),
+    owner: tuple(attr for target, attr, _, _ in tracing.TARGETS
+                 if target == owner)
+    for owner in ("radda.lowrank", "radda.dense")
 }
 
 
+def test_tracer_finds_every_target():
+    assert all(TRACED_NAMES.values())
+    assert tracing.Tracer().missing == []
+
+
 def test_solvers_look_up_traced_names_at_call_time(monkeypatch):
-    import importlib
     calls = {}
     for module, names in TRACED_NAMES.items():
         mod = importlib.import_module(module)
@@ -446,3 +467,28 @@ def test_solvers_look_up_traced_names_at_call_time(monkeypatch):
     radda_solve(make_example1(64), truncate_tol=1e-13)
     adda_solve_dense(make_example1(32))
     assert [key for key, n in calls.items() if n == 0] == []
+
+
+#: the package's public surface; a change that grows or shrinks it edits
+#: this list on purpose
+PUBLIC_NAMES = [
+    "AddaDenseState", "BaseDoublingOperator", "BreakdownError",
+    "CareProblem", "ConditioningError", "DENSE_CAP", "LowRankSymmetric",
+    "NoStabilizingSolutionError", "ORACLE_CAP", "RaddaState",
+    "ShiftSingularError", "SingularUpdateError", "SizeCapError",
+    "SolveReport", "adda_solve_dense", "adda_step_dense", "apply_ahat",
+    "build_shifted", "care_oracle_small", "choose_alpha", "dual_problem",
+    "hamiltonian", "init_dense", "init_lowrank", "load_problem",
+    "load_solution", "make_example1", "make_example2", "problem_from_dict",
+    "problem_to_dict", "qnorm", "radda_solve", "radda_step",
+    "residual_dense", "residual_lowrank", "save_problem", "save_solution",
+    "solution_from_dict", "solution_to_dict", "spectral_norm_sym",
+    "truncate_factors",
+]
+
+
+def test_public_surface_is_pinned():
+    import radda
+    assert len(PUBLIC_NAMES) == 41
+    assert sorted(radda.__all__) == PUBLIC_NAMES
+    assert all(hasattr(radda, name) for name in PUBLIC_NAMES)
