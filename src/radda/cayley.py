@@ -19,6 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 from .problems import CareProblem
 
@@ -110,8 +111,9 @@ def check_shift(alpha: float) -> None:
 def build_shifted(problem: CareProblem, alpha: float) -> BaseDoublingOperator:
     """The k = 0 doubling operator at shift alpha.
 
-    Factors A - alpha I once (SuperLU for sparse A, one factorization
-    serving both orientations; an LAPACK LU for dense A), then solves for
+    Factors A - alpha I once, one factorization serving both orientations
+    (a band LU for narrow-band sparse A, SuperLU for other sparse A and an
+    LAPACK LU for dense A; see _factor), then solves for
     D0 and P0 and forms W0 and the Cholesky factor of the operator's core.
     An exactly singular shifted matrix raises ShiftSingularError; a bad
     shift, or shifted solves that come out non-finite, raise ValueError.
@@ -123,9 +125,18 @@ def build_shifted(problem: CareProblem, alpha: float) -> BaseDoublingOperator:
 def _factor(problem: CareProblem, alpha: float):
     """solve(Z, transposed=False) applying A_a^{-1} (or A_a^{-T}) to an
     n x t block, from one factorization of A_a = A - alpha I.  A_a itself
-    is freed on return, before any solve runs."""
+    is freed on return, before any solve runs.
+
+    A sparse A_a whose LAPACK band storage is no larger than A's CSR
+    arrays is factored by band LU; if that LU swapped no rows, its two
+    triangular band factors serve every solve.  Any other sparse A_a goes
+    to SuperLU, and a dense one to an LAPACK LU.
+    """
     n = problem.n
     if sp.issparse(problem.A):
+        band_solve = _band_factor(problem.A, alpha)
+        if band_solve is not None:
+            return band_solve
         Aa = (problem.A - alpha * sp.identity(n, format="csr")).tocsc()
         try:
             lu = spla.splu(Aa)
@@ -150,6 +161,56 @@ def _factor(problem: CareProblem, alpha: float):
     def solve(Z, transposed=False):
         return sla.lu_solve(lu_piv, np.asarray(Z, dtype=float),
                             trans=int(transposed))
+    return solve
+
+
+def _band_factor(A, alpha: float):
+    """Band-LU solve closure for the sparse A - alpha I, or None when its
+    band storage would outgrow A's CSR arrays or the LU pivoted.
+
+    With no row swaps, dgbtrf's output holds U (upper bandwidth ku) in
+    rows kl..kl+ku and the unit-diagonal L (lower bandwidth kl) in rows
+    kl+ku..2kl+ku; each solve is two dtbsv sweeps per column.
+    """
+    csr = A.tocsr()
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    n = csr.shape[0]
+    offsets = np.repeat(np.arange(n), np.diff(csr.indptr))
+    offsets -= csr.indices
+    kl = int(offsets.max(initial=0))
+    ku = int(-offsets.min(initial=0))
+    csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+    if 8 * (2 * kl + ku + 1) * n > csr_bytes:
+        return None
+
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    ab[kl + ku + offsets, csr.indices] = csr.data
+    ab[kl + ku] -= alpha
+    del offsets
+    lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info > 0:
+        raise ShiftSingularError(
+            f"A - {alpha} I is singular; pick a different shift")
+    if not np.array_equal(piv, np.arange(n)):
+        return None
+    U = np.asfortranarray(lu[kl:kl + ku + 1])
+    L = np.asfortranarray(lu[kl + ku:])
+
+    def solve(Z, transposed=False):
+        X = np.array(Z, dtype=float, order="F")
+        x = X.reshape(-1, order="F")
+        for off in range(0, x.size, n):
+            if transposed:
+                blas.dtbsv(ku, U, x, offx=off, trans=1, overwrite_x=1)
+                blas.dtbsv(kl, L, x, offx=off, lower=1, trans=1, diag=1,
+                           overwrite_x=1)
+            else:
+                blas.dtbsv(kl, L, x, offx=off, lower=1, diag=1,
+                           overwrite_x=1)
+                blas.dtbsv(ku, U, x, offx=off, overwrite_x=1)
+        return X
     return solve
 
 

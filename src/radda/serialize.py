@@ -1,9 +1,12 @@
 """JSON round-trip for problems and factored solutions.
 
 Floats go through Python's repr, the shortest decimal that reproduces the
-binary64 value exactly, so save -> load is bit-faithful.  Banded A is
-stored as (offset, band) pairs; dense A as nested row lists.  B is stored
-flat in column-major order, C flat in row-major order.
+binary64 value exactly, so save -> load is bit-faithful.  Sparse A is
+stored as (offset, band) pairs ("banded") while its d distinct diagonals
+hold no more than 2 nnz entries (d n <= 2 nnz), and otherwise as the
+data, indices and indptr arrays of its canonical CSR form ("csr"), so a
+file stays O(nnz + n); dense A as nested row lists.  B is stored flat in
+column-major order, C flat in row-major order.
 """
 
 from __future__ import annotations
@@ -18,13 +21,22 @@ from .problems import CareProblem, LowRankSymmetric
 
 def _matrix_to_dict(M) -> dict:
     if sp.issparse(M):
-        dia = M.todia()
-        offsets = sorted(int(k) for k in dia.offsets)
+        coo = M.tocoo(copy=True)
+        coo.sum_duplicates()
+        offsets = np.unique(coo.col - coo.row).tolist()
+        if len(offsets) * M.shape[0] <= 2 * coo.nnz:
+            return {
+                "kind": "banded",
+                "offsets": offsets,
+                "bands": [np.asarray(M.diagonal(k), dtype=float).tolist()
+                          for k in offsets],
+            }
+        csr = coo.tocsr()
         return {
-            "kind": "banded",
-            "offsets": offsets,
-            "bands": [np.asarray(M.diagonal(k), dtype=float).tolist()
-                      for k in offsets],
+            "kind": "csr",
+            "data": np.asarray(csr.data, dtype=float).tolist(),
+            "indices": csr.indices.tolist(),
+            "indptr": csr.indptr.tolist(),
         }
     return {"kind": "dense", "entries": np.asarray(M, dtype=float).tolist()}
 
@@ -43,6 +55,21 @@ def _matrix_from_dict(doc: dict, n: int):
                 raise ValueError(f"band at offset {k} has length {b.size}, "
                                  f"expected {n - abs(k)}")
         return sp.diags(bands, offsets=offsets, shape=(n, n), format="csr")
+    if kind == "csr":
+        data = np.asarray(doc["data"], dtype=float)
+        indices = np.asarray(doc["indices"], dtype=np.int64)
+        indptr = np.asarray(doc["indptr"], dtype=np.int64)
+        if data.ndim != 1 or indices.shape != data.shape:
+            raise ValueError("csr data and indices differ in length")
+        if (indptr.shape != (n + 1,) or indptr[0] != 0
+                or indptr[-1] != data.size):
+            raise ValueError(f"csr indptr must hold {n + 1} offsets "
+                             f"from 0 to {data.size}")
+        if np.any(np.diff(indptr) < 0):
+            raise ValueError("csr indptr must be non-decreasing")
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise ValueError(f"csr column index outside [0, {n})")
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
     if kind == "dense":
         A = np.asarray(doc["entries"], dtype=float)
         if A.shape != (n, n):

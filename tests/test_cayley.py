@@ -145,6 +145,102 @@ class TestBuildShifted:
             build_shifted(make_example1(4), alpha)
 
 
+def pivoting_problem(n=40):
+    """Bidiagonal A whose shift by 1 has |subdiagonal| > |diagonal|, so a
+    partial-pivoting band LU of A - I swaps rows."""
+    A = sp.diags([5.0, -1.0], [-1, 0], shape=(n, n), format="csr")
+    return CareProblem(A, np.ones((n, 1)), np.ones((1, n)))
+
+
+# (problem, shift, whether A - alpha I takes SuperLU)
+FACTOR_CASES = {
+    "band": (make_example2(200), 9.0, False),
+    "wide": (convection_diffusion_problem(np.random.default_rng(2), 8), 40.0,
+             True),
+    "pivoting": (pivoting_problem(), 1.0, True),
+}
+
+
+class TestFactorPaths:
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        """Problem sizes SuperLU is asked to factor, in order."""
+        import radda.cayley as cayley_mod
+        calls = []
+        splu = cayley_mod.spla.splu
+
+        def recorded(M, *args, **kwargs):
+            calls.append(M.shape[0])
+            return splu(M, *args, **kwargs)
+
+        monkeypatch.setattr(cayley_mod.spla, "splu", recorded)
+        return calls
+
+    def test_narrow_band_never_calls_superlu(self, monkeypatch):
+        import radda.cayley as cayley_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SuperLU called on a narrow-band matrix")
+
+        monkeypatch.setattr(cayley_mod.spla, "splu", refuse)
+        for problem, alpha in ((make_example2(2000), 9.0),
+                               (make_example1(2000), 17.0)):
+            op = build_shifted(problem, alpha)
+            assert np.all(np.isfinite(op.D0)) and np.all(np.isfinite(op.P0))
+
+    def test_singular_wide_band_raises_from_superlu(self, splu_calls):
+        # one stored entry at (0, n-1) makes the band as wide as A, so
+        # A - I (that entry alone) goes to SuperLU, which finds it singular
+        n = 6
+        A = sp.identity(n, format="lil")
+        A[0, n - 1] = 1.0
+        p = CareProblem(A.tocsr(), np.ones((n, 1)), np.ones((1, n)))
+        with pytest.raises(ShiftSingularError):
+            build_shifted(p, 1.0)
+        assert splu_calls == [n]
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("case", sorted(FACTOR_CASES))
+    def test_solves_match_dense(self, splu_calls, case, width):
+        from radda.cayley import _factor
+        problem, alpha, superlu = FACTOR_CASES[case]
+        solve = _factor(problem, alpha)
+        assert splu_calls == ([problem.n] if superlu else [])
+        Aa = problem.a_dense() - alpha * np.eye(problem.n)
+        Z = np.random.default_rng(width).standard_normal((problem.n, width))
+        Z_before = Z.copy()
+        for transposed, M in ((False, Aa), (True, Aa.T)):
+            got = solve(Z, transposed=transposed)
+            want = np.linalg.solve(M, Z)
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=1e-12 * np.abs(want).max())
+        np.testing.assert_array_equal(Z, Z_before)
+
+    @pytest.mark.parametrize("case", ["band", "wide"])
+    def test_duplicate_entries_match_canonical(self, case):
+        problem, alpha, _ = FACTOR_CASES[case]
+        A = problem.A.tocsr()
+        # split the stored A[0, 0] into two halves with one column index
+        # repeated in row 0: a non-canonical CSR with the same value
+        indptr = A.indptr.copy()
+        indptr[1:] += 1
+        head = A.indptr[1]
+        first = A.indices[:head].tolist().index(0)
+        half = A.data[first] / 2.0
+        data = np.concatenate([A.data[:first], [half, half],
+                               A.data[first + 1:]])
+        indices = np.concatenate([A.indices[:first], [0, 0],
+                                  A.indices[first + 1:]])
+        dup = sp.csr_matrix((data, indices, indptr), shape=A.shape)
+        assert not dup.has_canonical_format
+        want = build_shifted(problem, alpha)
+        got = build_shifted(CareProblem(dup, problem.B, problem.C), alpha)
+        np.testing.assert_array_equal(got.D0, want.D0)
+        np.testing.assert_array_equal(got.P0, want.P0)
+        # factoring reads the duplicate without rewriting the caller's A
+        assert dup.nnz == A.nnz + 1
+
+
 class TestInitLowRank:
     def test_scalar_values(self):
         p = scalar_problem()

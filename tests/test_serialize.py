@@ -106,3 +106,63 @@ def test_random_problem_round_trip_sweep():
     for n, mp in ((4, 1), (11, 2), (23, 3)):
         p = random_stable_problem(rng, n, mp=mp)
         assert_problems_equal(p, problem_from_dict(problem_to_dict(p)))
+
+
+def scattered_problem(n=4000, nnz=12_000):
+    """Sparse A with entries scattered over thousands of diagonals."""
+    rng = np.random.default_rng(5)
+    A = sp.coo_matrix((rng.standard_normal(nnz),
+                       (rng.integers(0, n, nnz), rng.integers(0, n, nnz))),
+                      shape=(n, n)).tocsr() - 10.0 * sp.identity(n)
+    return CareProblem(A.tocsr(), rng.standard_normal((n, 1)),
+                       rng.standard_normal((1, n)))
+
+
+def test_scattered_sparse_round_trip_is_exact_and_o_nnz(tmp_path):
+    p = scattered_problem()
+    path = tmp_path / "problem.json"
+    save_problem(path, p)
+    with open(path) as fh:
+        assert json.load(fh)["A"]["kind"] == "csr"
+    # at most ~25 characters per stored float and index, not one per
+    # entry of every touched diagonal (thousands of times n)
+    assert path.stat().st_size < 64 * (p.A.nnz + p.n)
+    q = load_problem(path)
+    a, b = p.A.tocsr(), q.A.tocsr()
+    a.sum_duplicates()
+    np.testing.assert_array_equal(a.indptr, b.indptr)
+    np.testing.assert_array_equal(a.indices, b.indices)
+    np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(p.B, q.B)
+    np.testing.assert_array_equal(p.C, q.C)
+
+
+def test_banded_while_diagonals_hold_half_the_entries():
+    # d n <= 2 nnz writes bands: one diagonal of n = 20 with 10 stored
+    # entries is banded, with 9 it is csr
+    assert problem_to_dict(make_example2(40))["A"]["kind"] == "banded"
+    for stored, kind in ((10, "banded"), (9, "csr")):
+        A = sp.csr_matrix((np.arange(1.0, stored + 1),
+                           (np.arange(stored), np.arange(stored))),
+                          shape=(20, 20))
+        p = CareProblem(A, np.ones((20, 1)), np.ones((1, 20)))
+        doc = json.loads(json.dumps(problem_to_dict(p)))
+        assert doc["A"]["kind"] == kind
+        assert_problems_equal(p, problem_from_dict(doc))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("data", [1.0], "length"),
+    ("indptr", [0, 1, 2], "indptr"),
+    ("indptr", [0, 2, 1, 2, 2, 2] + [2] * 15, "non-decreasing"),
+    ("indices", [0, 20], "index"),
+    ("indices", [-1, 0], "index"),
+])
+def test_bad_csr_documents_are_rejected(field, value, message):
+    wide = sp.csr_matrix(([1.0, 1.0], ([0, 19], [19, 0])), shape=(20, 20))
+    doc = problem_to_dict(CareProblem(wide, np.ones((20, 1)),
+                                      np.ones((1, 20))))
+    assert doc["A"]["kind"] == "csr"
+    doc["A"][field] = value
+    with pytest.raises(ValueError, match=message):
+        problem_from_dict(doc)
