@@ -140,11 +140,10 @@ def cmd_compare(args) -> int:
 
     def residuals(pair):
         lr, dn = pair
-        res_lr = residual_lowrank(problem, lr.D, lr.Sigma, qn)
+        res_lr = residual_lowrank(problem, lr.D, qn)
         res_dn = residual_dense(problem, dn.X)
         scale = np.linalg.norm(dn.X, "fro")
-        dev = np.linalg.norm(lr.D @ lr.Sigma @ lr.D.T - dn.X,
-                             "fro") / (scale or 1.0)
+        dev = np.linalg.norm(lr.D @ lr.D.T - dn.X, "fro") / (scale or 1.0)
         rows.append((lr.k, float(res_lr), float(res_dn), float(dev)))
         return max(res_lr, res_dn)
 

@@ -6,6 +6,7 @@ not to compete.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -14,11 +15,26 @@ import scipy.linalg as sla
 
 from .cayley import ShiftSingularError, check_shift, choose_alpha
 from .problems import (BreakdownError, CareProblem, DENSE_CAP, SizeCapError,
-                       drive, iterate, lu_small, residual_dense)
+                       drive, iterate, residual_dense)
 
 
 class SingularUpdateError(BreakdownError):
     """The inner update matrix I + Y_k X_k was numerically singular."""
+
+
+def _lu_small(M: np.ndarray, k: int):
+    """LU of the update matrix M = I + Y X at iteration k, raising
+    SingularUpdateError when M has non-finite entries or a zero pivot."""
+    if not np.all(np.isfinite(M)):
+        raise SingularUpdateError(
+            f"I + Y X has non-finite entries at iteration {k}", k=k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, piv = sla.lu_factor(M)
+    if np.abs(np.diag(lu)).min() == 0.0:
+        raise SingularUpdateError(f"I + Y X is singular at iteration {k}",
+                                  k=k)
+    return lu, piv
 
 
 @dataclass(frozen=True)
@@ -79,8 +95,7 @@ def adda_step_dense(state: AddaDenseState) -> AddaDenseState:
     """
     ahat, X, Y = state.ahat, state.X, state.Y
     n = ahat.shape[0]
-    lu, piv = lu_small(np.eye(n) + Y @ X, state.k, "I + Y X",
-                       SingularUpdateError)
+    lu, piv = _lu_small(np.eye(n) + Y @ X, state.k)
     ahat_next = ahat @ sla.lu_solve((lu, piv), ahat)
     X_next = X + ahat.T @ sla.lu_solve((lu, piv), X @ ahat, trans=1)
     Y_next = Y + ahat @ (Y @ sla.lu_solve((lu, piv), ahat.T, trans=1))

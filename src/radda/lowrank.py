@@ -2,9 +2,10 @@
 
 The doubling operator is never formed: it lives as a base operator (one
 shifted solve plus thin corrections) and a chain of rank-p_j updates, one
-per completed step.  The solution iterates live as factor pairs
-X_k = D_k Sigma_k D_k', Y_k = P_k Gamma_k P_k' whose factors double in
-width per step while every core update happens at (p_k + m_k)-scale.
+per completed step.  The solution iterates live in Cholesky form
+X_k = D_k D_k', Y_k = P_k P_k': each step appends one block to each
+factor, so the widths double, and the only small-scale algebra is the
+Cholesky factorization of a p_k x p_k and an m_k x m_k Gram matrix.
 
 The n-scale work of a step is the chain applied to the factors.  An
 untruncated step reuses the blocks the previous step appended, so it costs
@@ -24,8 +25,7 @@ import scipy.linalg as sla
 
 from .cayley import BaseDoublingOperator, build_shifted, choose_alpha
 from .problems import BreakdownError, CareProblem, LowRankSymmetric, drive, \
-    iterate, lu_small, qnorm as _qnorm_of, relative_residual, \
-    spectral_norm_sym
+    iterate, qnorm as _qnorm_of, relative_residual, spectral_norm_sym
 
 
 def apply_ahat(base: BaseDoublingOperator, chain: tuple, Z: np.ndarray,
@@ -65,30 +65,29 @@ def _apply_level(base: BaseDoublingOperator, chain: tuple, j: int,
 
 @dataclass(frozen=True)
 class RaddaState:
-    """One factored iterate: X_k = D Sigma D', Y_k = P Gamma P', the
-    depth-k doubling operator and the cached cross-Gram matrix D'P.
+    """One factored iterate: X_k = D D', Y_k = P P', the depth-k doubling
+    operator and the cached cross-Gram matrix D'P.
 
     The operator ahat_k is the base operator followed by chain, the
     tuple of k thin corrections (U_j, V_j) that apply_ahat reads; a step
     appends one and never rebuilds the base.
 
-    doubled marks factors that are exactly the previous step's factors
-    followed by the blocks that step appended: D = [D_{k-1}, V_k] with V_k
-    the right block of the last chain correction, and P = [P_{k-1},
-    ahat_{k-1} P_{k-1}].  radda_step sets it and the next step uses it to
-    halve the operator applies; any change of the factors (truncation, a
-    rotation, a hand-built state) must leave it False.
+    chol holds the lower Cholesky factors (L_x, L_y) of the step that
+    produced this state, and marks factors that are exactly that step's
+    factors followed by the blocks it appended: D = [D_{k-1}, V_k] with
+    V_k the right block of the last chain correction, and P = [P_{k-1},
+    (ahat_{k-1} P_{k-1}) L_y^{-T}].  radda_step sets it and the next step
+    uses it to halve the operator applies; any change of the factors
+    (truncation, a rotation, a hand-built state) must leave it None.
     """
 
     k: int
     D: np.ndarray
-    Sigma: np.ndarray
     P: np.ndarray
-    Gamma: np.ndarray
     base: BaseDoublingOperator
     chain: tuple
     cross: np.ndarray
-    doubled: bool = False
+    chol: tuple | None = None
 
     @property
     def rank_x(self) -> int:
@@ -99,131 +98,133 @@ class RaddaState:
         return self.P.shape[1]
 
 
+def _times_inv_lt(Z: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Z L^{-T} by L's explicit inverse: faster than a solve on a tall Z."""
+    return Z @ sla.solve_triangular(L, np.eye(len(L)), lower=True).T
+
+
 def init_lowrank(problem: CareProblem,
                  op: BaseDoublingOperator) -> RaddaState:
     """The factored k = 0 iterate on the base operator op (build_shifted).
 
-    op's D0 = A_a^{-T} C' and P0 = A_a^{-1} B are the factors; this builds
-    only the p x p / m x m cores, the resolvents
+    From op's D0 = A_a^{-T} C', P0 = A_a^{-1} B and W0 = D0'B, the factors
 
-        Sigma0 = 2a (I + W0 W0')^{-1},
-        Gamma0 = 2a (I + W0' W0)^{-1},
+        D = sqrt(2a) D0 L^{-T},    L L' = I + W0 W0',
+        P = sqrt(2a) P0 M^{-T},    M M' = I + W0' W0,
 
-    from op's W0 = D0' B = C A_a^{-1} B.  No n x n algebra and no solve.
+    of X0 = 2a D0 (I + W0 W0')^{-1} D0' and Y0 = 2a P0 (I + W0'W0)^{-1} P0'
+    take two small Cholesky factorizations and no solve with A.
     """
-    D0, P0, W0 = op.D0, op.P0, op.W0
-    two_a = 2.0 * op.alpha
-    p, m = problem.p, problem.m
-    Sigma0 = two_a * np.linalg.inv(np.eye(p) + W0 @ W0.T)
-    Gamma0 = two_a * np.linalg.inv(np.eye(m) + W0.T @ W0)
-    Sigma0 = (Sigma0 + Sigma0.T) / 2.0
-    Gamma0 = (Gamma0 + Gamma0.T) / 2.0
-    return RaddaState(k=0, D=D0, Sigma=Sigma0, P=P0, Gamma=Gamma0,
-                      base=op, chain=(), cross=D0.T @ P0)
+    W0 = op.W0
+    scale = np.sqrt(2.0 * op.alpha)
+    D = scale * _times_inv_lt(
+        op.D0, np.linalg.cholesky(np.eye(problem.p) + W0 @ W0.T))
+    P = scale * _times_inv_lt(
+        op.P0, np.linalg.cholesky(np.eye(problem.m) + W0.T @ W0))
+    return RaddaState(k=0, D=D, P=P, base=op, chain=(), cross=D.T @ P)
 
 
 def _first_two_powers(base: BaseDoublingOperator, chain: tuple,
-                      Z: np.ndarray, transposed: bool) -> np.ndarray:
-    """[ahat Z, ahat^2 Z] (or the transposed powers) as one n x 2t block,
-    for the operator of base and chain.  S is freed on return, before the
-    caller adds its correction."""
+                      Z: np.ndarray, L: np.ndarray,
+                      transposed: bool) -> np.ndarray:
+    """[(ahat Z) L', ahat^2 Z] (or the transposed powers) as one n x 2t
+    block, for the operator of base and chain.  S and T are freed on
+    return, before the caller adds its correction."""
     S = apply_ahat(base, chain, Z, transposed=transposed)
-    return np.hstack([S, apply_ahat(base, chain, S, transposed=transposed)])
+    T = apply_ahat(base, chain, S, transposed=transposed)
+    return np.hstack([S @ L.T, T])
 
 
 def radda_step(state: RaddaState) -> RaddaState:
     """Advance the factored iterate one doubling step.
 
-    With the cross-Gram W = D'P cached, the projected Gram matrices
-    D'Y D = W Gamma W' and P'X P = W' Sigma W never touch n-scale data.
-    The new diagonal core blocks are the resolvents
+    With the cross-Gram W = D'P cached and the lower Cholesky factors
 
-        Sigma~ = (I + Sigma (D'Y D))^{-1} Sigma,
-        Gamma~ = (I + Gamma (P'X P))^{-1} Gamma,
+        L_x L_x' = I + W W',      L_y L_y' = I + W'W,
 
-    the factors double (D gains ahat'D, P gains ahat P), and the operator
-    itself gains the thin correction -[(ahat P) Gamma W' Sigma
-    (I + (D'Y D) Sigma)^{-1}] (ahat'D)', whose blocks are the new P and D
-    columns times an m_k x p_k core, so it needs no apply of its own.  One
-    LU of I + Sigma (D'Y D) serves both core solves on the Sigma side,
-    since (I + (D'Y D) Sigma)' is the same matrix.
+    the push-through identity turns the dense update into one block
+    appended to each factor, D~ = [D, N_x] and P~ = [P, N_y] with
+
+        N_x = (ahat'D) L_x^{-T},      N_y = (ahat P) L_y^{-T},
+
+    and the operator gains the thin correction -N_y (L_y^{-1} W' L_x) N_x',
+    the new columns times an m_k x p_k matrix, so it needs no apply of its
+    own.  Both Gram matrices have every eigenvalue >= 1: a factorization
+    fails only once W is so large that rounding swamps the identity, and
+    that, or a non-finite W or Gram matrix, raises BreakdownError.
 
     On a doubled state, with prev = ahat_{k-1}, (U_k, V_k) the last
-    correction and F = prev P_{k-1} the block the last step appended to P,
+    correction, (M_x, M_y) = chol the last step's factors and F the block
+    the last step appended to P,
 
-        ahat' D = [S, prev' S] + V_k (U_k' D),      S = prev' V_k,
-        ahat P  = [T, prev T]  + U_k (V_k' P),      T = prev F,
+        ahat' D = [S M_x', prev' S] + V_k (U_k' D),      S = prev' V_k,
+        ahat P  = [T M_y', prev T]  + U_k (V_k' P),      T = prev F,
 
     so each side takes two depth-(k-1) applies of half width in place of
     one depth-k apply.  Other states apply the depth-k chain directly.
     """
-    D, Sigma, P, Gamma = state.D, state.Sigma, state.P, state.Gamma
-    W = state.cross
-    gram_y = W @ Gamma @ W.T          # D' Y D   (p_k x p_k)
-    gram_x = W.T @ Sigma @ W          # P' X P   (m_k x m_k)
-    p_k = D.shape[1]
-    m_k = P.shape[1]
-
-    lu_s = lu_small(np.eye(p_k) + Sigma @ gram_y, state.k, "I + Sigma (D'YD)",
-                    BreakdownError)
-    lu_g = lu_small(np.eye(m_k) + Gamma @ gram_x, state.k, "I + Gamma (P'XP)",
-                    BreakdownError)
-    sigma_new = sla.lu_solve(lu_s, Sigma)
-    gamma_new = sla.lu_solve(lu_g, Gamma)
-    sigma_new = (sigma_new + sigma_new.T) / 2.0
-    gamma_new = (gamma_new + gamma_new.T) / 2.0
-    # m_k x p_k core of the operator correction; the right-solve against
-    # I + (D'YD) Sigma transposes into the factor already at hand
-    small = sla.lu_solve(lu_s, (Gamma @ W.T @ Sigma).T).T
+    D, P, W, k = state.D, state.P, state.cross, state.k
+    p_k, m_k = W.shape
+    if not np.all(np.isfinite(W)):
+        raise BreakdownError(f"D'P is non-finite at iteration {k}", k=k)
+    try:
+        L_x = sla.cholesky(np.eye(p_k) + W @ W.T, lower=True)
+        L_y = sla.cholesky(np.eye(m_k) + W.T @ W, lower=True)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise BreakdownError(
+            f"no Cholesky factor of a Gram matrix at iteration {k}: {exc}",
+            k=k) from exc
 
     base, chain = state.base, state.chain
-    if state.doubled:
+    # N_x, N_y hold ahat'D, ahat P until scaled: one copy of each block
+    if state.chol is not None:
         prev = chain[:-1]
         U_k, V_k = chain[-1]
-        D_new = _first_two_powers(base, prev, V_k, transposed=True)
-        D_new += V_k @ (U_k.T @ D)
-        P_new = _first_two_powers(base, prev, P[:, m_k // 2:],
-                                  transposed=False)
-        P_new += U_k @ (V_k.T @ P)
+        prev_x, prev_y = state.chol
+        N_x = _first_two_powers(base, prev, V_k, prev_x, transposed=True)
+        N_x += V_k @ (U_k.T @ D)
+        N_y = _first_two_powers(base, prev, P[:, m_k // 2:], prev_y,
+                                transposed=False)
+        N_y += U_k @ (V_k.T @ P)
     else:
-        D_new = apply_ahat(base, chain, D, transposed=True)
-        P_new = apply_ahat(base, chain, P)
-    chain_next = chain + ((-(P_new @ small), D_new),)
+        N_x = apply_ahat(base, chain, D, transposed=True)
+        N_y = apply_ahat(base, chain, P)
+    N_x = _times_inv_lt(N_x, L_x)
+    N_y = _times_inv_lt(N_y, L_y)
+    small = sla.solve_triangular(L_y, W.T @ L_x, lower=True)
+    chain_next = chain + ((-(N_y @ small), N_x),)
 
-    cross_next = np.block([[W, D.T @ P_new],
-                           [D_new.T @ P, D_new.T @ P_new]])
+    cross_next = np.block([[W, D.T @ N_y],
+                           [N_x.T @ P, N_x.T @ N_y]])
     return RaddaState(
-        k=state.k + 1,
-        D=np.hstack([D, D_new]),
-        Sigma=sla.block_diag(Sigma, sigma_new),
-        P=np.hstack([P, P_new]),
-        Gamma=sla.block_diag(Gamma, gamma_new),
+        k=k + 1,
+        D=np.hstack([D, N_x]),
+        P=np.hstack([P, N_y]),
         base=base,
         chain=chain_next,
         cross=cross_next,
-        doubled=True,
+        chol=(L_x, L_y),
     )
 
 
-def residual_lowrank(problem: CareProblem, D: np.ndarray, Sigma: np.ndarray,
+def residual_lowrank(problem: CareProblem, D: np.ndarray,
                      qnorm: float | None = None) -> float:
-    """Relative residual of X = D Sigma D' without forming n x n data.
+    """Relative residual of X = D D' without forming n x n data.
 
     The residual A'X + XA - X G X + Q has column space inside
     F = [C' | D | A'D], so the triangular factor R of F = QR (Q is never
     formed) reduces the spectral norm to a (p + 2r) x (p + 2r) symmetric
     eigenproblem with the indefinite core
 
-        [[ I,  0,          0     ],
-         [ 0, -S W W' S,   S     ],      W = D'B,  S = Sigma,
-         [ 0,  S,          0     ]].
+        [[ I,  0,      0 ],
+         [ 0, -W W',   I ],      W = D'B.
+         [ 0,  I,      0 ]]
 
     The identity needs no rank assumptions on F.  A zero ||Q||_2 triggers
     the same absolute-residual fallback as the dense path.  Non-finite
     entries in F raise ValueError.
     """
     D = np.asarray(D, dtype=float)
-    Sigma = np.asarray(Sigma, dtype=float)
     n, p = problem.n, problem.p
     r = D.shape[1]
     if qnorm is None:
@@ -234,35 +235,31 @@ def residual_lowrank(problem: CareProblem, D: np.ndarray, Sigma: np.ndarray,
     F[:, p:p + r] = D
     F[:, p + r:] = problem.A.T @ D
     R = sla.qr(F, mode="raw", overwrite_a=True)[1]
-    # R times the block core times R', one block at a time
+    # R times the block core times R', one block at a time; eigvalsh reads
+    # only the lower triangle
     R1, R2, R3 = R[:, :p], R[:, p:p + r], R[:, p + r:]
-    G = R2 @ (Sigma @ (D.T @ problem.B))
-    M = (R2 @ Sigma) @ R3.T
+    G = R2 @ (D.T @ problem.B)
+    M = R2 @ R3.T
     core = R1 @ R1.T - G @ G.T + M + M.T
-    return relative_residual(spectral_norm_sym((core + core.T) / 2.0), qnorm)
+    return relative_residual(spectral_norm_sym(core), qnorm)
 
 
-def truncate_factors(D: np.ndarray, Sigma: np.ndarray, tol: float):
-    """Rank-revealing recompression of a factor pair (D, Sigma).
+def truncate_factors(D: np.ndarray, tol: float) -> np.ndarray:
+    """Rank-revealing recompression of a Cholesky factor D of X = D D'.
 
-    Thin QR of D, symmetric eigendecomposition of the projected core,
-    drop eigenvalues with |lambda| <= tol * |lambda|_max; the represented
-    matrix moves by at most tol * ||D Sigma D'||_2 in spectral norm.
-    tol = 0 passes the factors through untouched (exact-zero eigenvalues
-    included), and an empty factor is returned as-is.
+    Thin QR of D, SVD of its triangular factor, drop singular values
+    s <= sqrt(tol) * s_max: the eigenvalues s^2 of X at most tol * ||X||_2
+    go, so X moves by at most tol * ||X||_2 in spectral norm.  tol = 0
+    passes D through untouched, and an empty factor is returned as-is.
     """
     if tol < 0.0:
         raise ValueError(f"truncation tolerance must be >= 0, got {tol}")
     if tol == 0.0 or D.shape[1] == 0:
-        return D, Sigma
+        return D
     Q, R = sla.qr(D, mode="economic")
-    core = R @ Sigma @ R.T
-    lam, V = sla.eigh((core + core.T) / 2.0)
-    amax = np.abs(lam).max()
-    if amax == 0.0:
-        return D[:, :0], Sigma[:0, :0]
-    keep = np.abs(lam) > tol * amax
-    return Q @ V[:, keep], np.diag(lam[keep])
+    U, s, _ = sla.svd(R)
+    keep = s > np.sqrt(tol) * s[0]
+    return Q @ (U[:, keep] * s[keep])
 
 
 def radda_solve(problem: CareProblem, *, alpha: float | None = None,
@@ -290,7 +287,8 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
     Returns
     -------
     (LowRankSymmetric, SolveReport)
-        The factored solution X = F S F' and the run bookkeeping.
+        The factored solution X = F F' (S is the identity) and the run
+        bookkeeping.
 
     Raises
     ------
@@ -298,8 +296,9 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         if A - alpha I is singular (for the default shift: at the search's
         first rung, sqrt(||A||_1 ||A||_inf)).
     BreakdownError
-        if a small-core solve fails mid-run; the exception carries the
-        partial report in .report.
+        if a step's cross-Gram matrix D'P turns non-finite or one of its
+        two Cholesky factorizations fails mid-run; the exception carries
+        the partial report in .report.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -311,10 +310,9 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
 
     def truncated_step(state):
         state = radda_step(state)
-        D, Sigma = truncate_factors(state.D, state.Sigma, truncate_tol)
-        P, Gamma = truncate_factors(state.P, state.Gamma, truncate_tol)
-        return replace(state, D=D, Sigma=Sigma, P=P, Gamma=Gamma,
-                       cross=D.T @ P, doubled=False)
+        D = truncate_factors(state.D, truncate_tol)
+        P = truncate_factors(state.P, truncate_tol)
+        return replace(state, D=D, P=P, cross=D.T @ P, chol=None)
 
     t0 = perf_counter()
     a = choose_alpha(problem) if alpha is None else float(alpha)
@@ -322,7 +320,7 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
     qn = _qnorm_of(problem)
     state, report = drive(
         iterate(state, truncated_step if truncate_tol > 0.0 else radda_step),
-        lambda s: residual_lowrank(problem, s.D, s.Sigma, qn),
+        lambda s: residual_lowrank(problem, s.D, qn),
         lambda s: (s.rank_x, s.rank_y),
         tol, maxit, t0, a)
-    return LowRankSymmetric(state.D, state.Sigma), report
+    return LowRankSymmetric(state.D, np.eye(state.rank_x)), report

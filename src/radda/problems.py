@@ -18,7 +18,6 @@ from itertools import islice
 from time import perf_counter
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import eigvalsh, svdvals
 
@@ -42,7 +41,7 @@ class ConditioningError(RuntimeError):
 
 
 class BreakdownError(RuntimeError):
-    """A small-core solve failed during a doubling step.
+    """A doubling step could not factor the matrix its update inverts.
 
     Carries the iteration index k; when raised out of a solve the partial
     report accumulated so far is attached as .report.
@@ -53,19 +52,6 @@ class BreakdownError(RuntimeError):
         super().__init__(message)
         self.k = k
         self.report = report
-
-
-def lu_small(M: np.ndarray, k: int, what: str, error: type):
-    """LU of a small core at iteration k, raising error (a BreakdownError
-    subclass) when M has non-finite entries or a zero pivot."""
-    if not np.all(np.isfinite(M)):
-        raise error(f"{what} has non-finite entries at iteration {k}", k=k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(M)
-    if np.abs(np.diag(lu)).min() == 0.0:
-        raise error(f"{what} is singular at iteration {k}", k=k)
-    return lu, piv
 
 
 @dataclass(frozen=True)

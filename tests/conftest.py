@@ -1,7 +1,7 @@
 import numpy as np
 import scipy.sparse as sp
 
-from radda import CareProblem
+from radda import CareProblem, make_example1
 
 #: one "PASS criterion N: ..." / "FAIL criterion N: ..." line per
 #: acceptance check, echoed after the run summary where output capture
@@ -30,6 +30,13 @@ def random_stable_problem(rng, n, mp=1, scale=0.1):
     B = scale * rng.standard_normal((n, mp))
     C = scale * rng.standard_normal((mp, n))
     return CareProblem(A.tocsr(), B, C)
+
+
+def unstable_problem(n=64):
+    """The first example family moved right by 13 I: every eigenvalue of A
+    has real part +1, so the doubling iterates grow without bound."""
+    p = make_example1(n)
+    return CareProblem((p.A + 13.0 * sp.identity(n)).tocsr(), p.B, p.C)
 
 
 def scalar_problem(a=-1.0, b=1.0, c=1.0):

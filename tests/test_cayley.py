@@ -245,42 +245,47 @@ class TestInitLowRank:
     def test_scalar_values(self):
         p = scalar_problem()
         init = init_lowrank(p, build_shifted(p, 1.0))
-        assert init.D[0, 0] == pytest.approx(-0.5, abs=1e-15)
-        assert init.P[0, 0] == pytest.approx(-0.5, abs=1e-15)
-        assert init.Sigma[0, 0] == pytest.approx(1.6, abs=1e-15)
-        assert init.Gamma[0, 0] == pytest.approx(1.6, abs=1e-15)
-        x0 = (init.D @ init.Sigma @ init.D.T)[0, 0]
+        # D0 = P0 = -0.5 scaled by sqrt(2a / (1 + W0^2)) = sqrt(1.6)
+        assert init.D[0, 0] == pytest.approx(-np.sqrt(0.4), abs=1e-15)
+        assert init.P[0, 0] == pytest.approx(-np.sqrt(0.4), abs=1e-15)
+        x0 = (init.D @ init.D.T)[0, 0]
         assert x0 == pytest.approx(0.4, abs=1e-15)
         # the k = 0 iterate: no chain corrections, the cached cross-Gram
         # D'P, and factors that no step has appended to
-        assert (init.k, len(init.chain), init.doubled) == (0, 0, False)
+        assert (init.k, len(init.chain), init.chol) == (0, 0, None)
         np.testing.assert_array_equal(init.cross, init.D.T @ init.P)
 
     def test_cross_blocks_agree_both_routes(self):
         # D0'B and C P0 are the same matrix reached through the forward
         # and transposed solve; they must agree to rounding
         p = make_example2(20)
-        init = init_lowrank(p, build_shifted(p, choose_alpha(p)))
-        W0 = init.D.T @ p.B
-        V0 = p.C @ init.P
+        op = build_shifted(p, choose_alpha(p))
+        W0 = op.D0.T @ p.B
+        V0 = p.C @ op.P0
         np.testing.assert_allclose(W0, V0, rtol=0.0, atol=1e-15)
 
     def test_reconstruction_matches_dense_init(self):
         p = make_example1(16)
         init = init_lowrank(p, build_shifted(p, 17.0))
         dense = init_dense(p, 17.0)
-        np.testing.assert_allclose(init.D @ init.Sigma @ init.D.T, dense.X,
+        np.testing.assert_allclose(init.D @ init.D.T, dense.X,
                                    atol=1e-14 * np.abs(dense.X).max())
-        np.testing.assert_allclose(init.P @ init.Gamma @ init.P.T, dense.Y,
+        np.testing.assert_allclose(init.P @ init.P.T, dense.Y,
                                    atol=1e-14 * np.abs(dense.Y).max())
 
-    def test_cores_are_spd(self):
+    def test_random_starts_match_dense_init(self):
+        # p = m = 2 makes both Cholesky factors of the init 2 x 2
         rng = np.random.default_rng(17)
         for mp in (1, 2):
             p = random_stable_problem(rng, 15, mp=mp)
-            init = init_lowrank(p, build_shifted(p, choose_alpha(p)))
-            assert np.linalg.eigvalsh(init.Sigma).min() > 0.0
-            assert np.linalg.eigvalsh(init.Gamma).min() > 0.0
+            alpha = choose_alpha(p)
+            init = init_lowrank(p, build_shifted(p, alpha))
+            dense = init_dense(p, alpha)
+            assert init.D.shape == (15, mp) and init.P.shape == (15, mp)
+            np.testing.assert_allclose(init.D @ init.D.T, dense.X, rtol=0.0,
+                                       atol=1e-13 * np.abs(dense.X).max())
+            np.testing.assert_allclose(init.P @ init.P.T, dense.Y, rtol=0.0,
+                                       atol=1e-13 * np.abs(dense.Y).max())
 
 
 class TestBaseOperator:

@@ -19,6 +19,7 @@ import pytest
 import scipy.sparse as sp
 
 import radda
+from conftest import unstable_problem
 from radda import SingularUpdateError, cli
 from radda.cli import (COMPARE_HEADER, EXIT_BREAKDOWN, EXIT_EQUIVALENCE,
                        EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, RUN_HEADER,
@@ -140,6 +141,25 @@ class TestRun:
         assert lines[0] == RUN_HEADER
         # the rows of the iterates completed before the failed step
         assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 1]
+        assert "termination=breakdown" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_lowrank_breakdown_keeps_trajectory(self, capsys, tmp_path):
+        # an unstable A from a problem file: the low-rank solve breaks
+        # down on its own, and the rows before the failed step survive
+        path = tmp_path / "unstable.json"
+        save_problem(path, unstable_problem())
+        code, out, err = run_main(capsys, ["run", "--problem", str(path)])
+        assert code == EXIT_BREAKDOWN
+        lines = out.splitlines()
+        assert lines[0] == RUN_HEADER
+        rows = [line.split(",") for line in lines[1:]]
+        assert 2 <= len(rows) <= 10
+        for i, (k, res, rx, ry, _) in enumerate(rows):
+            assert int(k) == i and int(rx) == int(ry) == 2 ** i
+            assert np.isfinite(float(res))
+        # the failed step is the one after the last row
+        assert f"at iteration {len(rows) - 1}" in err
         assert "termination=breakdown" in err
 
     def test_singular_shift_is_exit_3(self, capsys, tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import random_stable_problem, scalar_problem
+from conftest import random_stable_problem, scalar_problem, unstable_problem
 from radda import (BreakdownError, CareProblem, RaddaState, adda_solve_dense,
                    adda_step_dense, apply_ahat, build_shifted,
                    care_oracle_small, choose_alpha, init_dense, init_lowrank,
@@ -35,21 +35,18 @@ def uneven_problem():
     return CareProblem(base.A, base.B, base.C[:1])
 
 
-def rotate(D, Sigma, rng):
-    """Turn a factor pair by a random orthogonal matrix: same width and
-    same D Sigma D', but different columns."""
-    q = sla.qr(rng.standard_normal((D.shape[1],) * 2))[0]
-    return D @ q, q.T @ Sigma @ q
+def rotate(D, rng):
+    """Turn a factor by a random orthogonal matrix: same width and same
+    D D', but different columns."""
+    return D @ sla.qr(rng.standard_normal((D.shape[1],) * 2))[0]
 
 
 def reconstruct_x(state):
-    X = state.D @ state.Sigma @ state.D.T
-    return (X + X.T) / 2
+    return state.D @ state.D.T
 
 
 def reconstruct_y(state):
-    Y = state.P @ state.Gamma @ state.P.T
-    return (Y + Y.T) / 2
+    return state.P @ state.P.T
 
 
 class TestStepAlgebra:
@@ -59,30 +56,36 @@ class TestStepAlgebra:
         assert (s1.rank_x, s1.rank_y) == (2, 2)
         x1 = float(reconstruct_x(s1)[0, 0])
         assert x1 == pytest.approx(0.41379310344827586, abs=1e-14)
-        # appended core block is 1.6/1.16, reconstructing the same X1 as
-        # the dense step
-        assert s1.Sigma[1, 1] == pytest.approx(1.6 / 1.16, abs=1e-14)
-        assert s1.Sigma[0, 0] == pytest.approx(1.6, abs=1e-15)
-        assert s1.Sigma[0, 1] == 0.0
+        # ahat0 = 0.2 and W = D'P = 0.4, so the appended column is
+        # 0.2 D / sqrt(1 + W^2), reconstructing the same X1 as the dense step
+        assert s1.D[0, 0] == pytest.approx(-np.sqrt(0.4), abs=1e-15)
+        assert s1.D[0, 1] == pytest.approx(-0.2 * np.sqrt(0.4 / 1.16),
+                                           abs=1e-15)
+        np.testing.assert_allclose(s1.chol, [[[np.sqrt(1.16)]]] * 2,
+                                   rtol=0.0, atol=1e-15)
 
     def test_core_update_matches_subtractive_form(self):
-        # the resolvent form used inside the step must agree with the
-        # textbook subtractive update computed independently here
+        # the Cholesky form used inside the step must agree with the
+        # textbook subtractive update (I + W W')^{-1} = I - W (I + W'W)^{-1} W'
+        # applied to the operator images computed independently here
         p = make_example2(18)
-        s = radda_step(lowrank_state(p, 18.0))  # k=1 state, 2x2 cores
+        s = radda_step(lowrank_state(p, 18.0))  # k=1 state, width 2
         W = s.cross
-        gram_y = W @ s.Gamma @ W.T
-        gram_x = W.T @ s.Sigma @ W
         r = s.rank_x
-        sig_sub = s.Sigma - np.linalg.solve(
-            np.eye(r) + s.Sigma @ gram_y, s.Sigma @ gram_y @ s.Sigma)
-        gam_sub = s.Gamma - np.linalg.solve(
-            np.eye(r) + s.Gamma @ gram_x, s.Gamma @ gram_x @ s.Gamma)
+        AD = apply_ahat(s.base, s.chain, s.D, transposed=True)
+        AP = apply_ahat(s.base, s.chain, s.P)
+        eye = np.eye(r)
+        core_x = eye - W @ np.linalg.solve(eye + W.T @ W, W.T)
+        core_y = eye - W.T @ np.linalg.solve(eye + W @ W.T, W)
         s2 = radda_step(s)
-        np.testing.assert_allclose(s2.Sigma[r:, r:], sig_sub, rtol=1e-12,
-                                   atol=1e-13)
-        np.testing.assert_allclose(s2.Gamma[r:, r:], gam_sub, rtol=1e-12,
-                                   atol=1e-13)
+        N_x, N_y = s2.D[:, r:], s2.P[:, r:]
+        for got, want in ((N_x @ N_x.T, AD @ core_x @ AD.T),
+                          (N_y @ N_y.T, AP @ core_y @ AP.T)):
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=1e-13 * np.abs(want).max())
+        L_x, L_y = s2.chol
+        np.testing.assert_allclose(L_x @ L_x.T, eye + W @ W.T, rtol=1e-14)
+        np.testing.assert_allclose(L_y @ L_y.T, eye + W.T @ W, rtol=1e-14)
 
     def test_cross_cache_is_current(self):
         s = lowrank_state(make_example1(20), 17.0)
@@ -92,11 +95,13 @@ class TestStepAlgebra:
             np.testing.assert_allclose(s.cross, s.D.T @ s.P, rtol=0.0,
                                        atol=1e-13 * scale)
 
+    @pytest.mark.filterwarnings("error")
     def test_breakdown_raises(self):
-        # forced singular core: I + Sigma * (D' Y D) = 1 + 1 * (-1) = 0
-        bad = RaddaState(k=2, D=np.ones((3, 1)), Sigma=np.eye(1),
-                         P=np.ones((3, 1)), Gamma=-np.eye(1),
-                         base=None, chain=(), cross=np.eye(1))
+        # an overflowed cross-Gram stops the step before any apply, and
+        # before forming W W', whose inf - inf would warn
+        cross = np.array([[np.inf, np.inf], [np.inf, -np.inf]])
+        bad = RaddaState(k=2, D=np.ones((3, 2)), P=np.ones((3, 2)),
+                         base=None, chain=(), cross=cross)
         with pytest.raises(BreakdownError) as err:
             radda_step(bad)
         assert err.value.k == 2
@@ -203,12 +208,10 @@ class TestModifiedFactors:
         for _ in range(2):
             lr = radda_step(lr)
             dn = adda_step_dense(dn)
-        assert lr.doubled
+        assert lr.chol is not None
         rng = np.random.default_rng(7)
-        D, Sigma = rotate(lr.D, lr.Sigma, rng)
-        P, Gamma = rotate(lr.P, lr.Gamma, rng)
-        lr = radda_step(RaddaState(lr.k, D, Sigma, P, Gamma, lr.base,
-                                   lr.chain, D.T @ P))
+        D, P = rotate(lr.D, rng), rotate(lr.P, rng)
+        lr = radda_step(RaddaState(lr.k, D, P, lr.base, lr.chain, D.T @ P))
         dn = adda_step_dense(dn)
         assert lr.rank_x == 8 * p.p and lr.rank_y == 8 * p.m
         for got, want in ((reconstruct_x(lr), dn.X), (reconstruct_y(lr), dn.Y)):
@@ -223,7 +226,7 @@ class TestModifiedFactors:
         p = make_example2(64)
         x_ref, ref = radda_solve(p)
         monkeypatch.setattr(lowrank_mod, "truncate_factors",
-                            lambda D, Sigma, tol: rotate(D, Sigma, rng))
+                            lambda D, tol: rotate(D, rng))
         x, report = lowrank_mod.radda_solve(p, truncate_tol=1e-13,
                                             maxit=ref.iterations)
         assert report.termination == "converged"
@@ -240,26 +243,25 @@ class TestResidualLowrank:
         for k in range(4):
             if k:
                 s = radda_step(s)
-            rl = residual_lowrank(p, s.D, s.Sigma)
+            rl = residual_lowrank(p, s.D)
             rd = residual_dense(p, reconstruct_x(s))
             assert abs(rl - rd) <= 1e-12
 
     def test_zero_core_gives_residual_one(self):
         p = make_example2(12)
-        D = np.ones((12, 2))
-        assert residual_lowrank(p, D, np.zeros((2, 2))) == pytest.approx(
+        assert residual_lowrank(p, np.zeros((12, 2))) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_empty_factor_gives_residual_one(self):
         p = make_example1(9)
-        r = residual_lowrank(p, np.zeros((9, 0)), np.zeros((0, 0)))
+        r = residual_lowrank(p, np.zeros((9, 0)))
         assert r == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_c_falls_back_to_absolute(self):
         p = CareProblem(-np.eye(4), np.ones((4, 1)), np.zeros((1, 4)))
         D = np.ones((4, 1))
         with pytest.warns(RuntimeWarning):
-            r = residual_lowrank(p, D, np.eye(1))
+            r = residual_lowrank(p, D)
         # X = ones: A'X + XA - X(BB')X = -2*ones - 16*ones, norm 18*4
         assert r == pytest.approx(72.0, rel=1e-12)
 
@@ -269,53 +271,50 @@ class TestResidualLowrank:
         D[3, 1] = np.nan
         # rejected before the QR, with scipy's finiteness-check message
         with pytest.raises(ValueError, match="infs or NaNs"):
-            residual_lowrank(p, D, np.eye(2))
+            residual_lowrank(p, D)
 
     def test_cached_qnorm_short_circuit(self):
         p = make_example2(15)
         s = lowrank_state(p, 18.0)
         qn = qnorm(p)
-        assert residual_lowrank(p, s.D, s.Sigma, qn) == residual_lowrank(
-            p, s.D, s.Sigma)
+        assert residual_lowrank(p, s.D, qn) == residual_lowrank(p, s.D)
 
 
 class TestTruncation:
     def test_zero_tolerance_is_identity(self):
         D = np.random.default_rng(0).standard_normal((8, 4))
-        Sigma = np.diag([1.0, 1e-9, 0.0, -2.0])
-        D2, S2 = truncate_factors(D, Sigma, 0.0)
-        assert D2 is D and S2 is Sigma
+        D[:, 2] = 0.0
+        assert truncate_factors(D, 0.0) is D
 
     def test_drops_negligible_directions(self):
         rng = np.random.default_rng(14)
         U = sla.qr(rng.standard_normal((20, 6)), mode="economic")[0]
-        lam = np.array([3.0, -1.0, 1e-4, 1e-16, -1e-17, 0.0])
-        X = (U * lam) @ U.T
-        D2, S2 = truncate_factors(U, np.diag(lam), 1e-10)
-        assert D2.shape[1] == 3
-        X2 = D2 @ S2 @ D2.T
-        assert np.linalg.norm(X2 - X, 2) <= 1e-10 * np.abs(lam).max() * 2
+        # eigenvalues 9, 1, 1e-4, 1e-16, 1e-18, 0 of X = D D'
+        s = np.array([3.0, 1.0, 1e-2, 1e-8, 1e-9, 0.0])
+        D = U * s
+        D2 = truncate_factors(D, 1e-10)
+        assert D2.shape == (20, 3)
+        X = D @ D.T
+        assert np.linalg.norm(D2 @ D2.T - X, 2) <= 1e-10 * 9.0 * 2
 
     def test_error_bound_holds(self):
         rng = np.random.default_rng(23)
-        D = rng.standard_normal((30, 10))
-        S = rng.standard_normal((10, 10))
-        S = (S + S.T) / 2
-        X = D @ S @ D.T
+        D = rng.standard_normal((30, 10)) * np.logspace(0, -7, 10)
+        X = D @ D.T
         for tol in (1e-2, 1e-6, 1e-12):
-            D2, S2 = truncate_factors(D, S, tol)
-            err = np.linalg.norm(D2 @ S2 @ D2.T - X, 2)
+            D2 = truncate_factors(D, tol)
+            err = np.linalg.norm(D2 @ D2.T - X, 2)
             assert err <= tol * np.linalg.norm(X, 2) * (1 + 1e-10)
-            assert D2.shape[1] <= D.shape[1]
+            assert D2.shape[1] < D.shape[1]
 
     def test_zero_matrix_truncates_to_empty(self):
-        D = np.ones((5, 2))
-        D2, S2 = truncate_factors(D, np.zeros((2, 2)), 1e-8)
-        assert D2.shape == (5, 0) and S2.shape == (0, 0)
+        assert truncate_factors(np.zeros((5, 2)), 1e-8).shape == (5, 0)
+        empty = np.zeros((5, 0))
+        assert truncate_factors(empty, 1e-8) is empty
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            truncate_factors(np.ones((3, 1)), np.eye(1), -1.0)
+            truncate_factors(np.ones((3, 1)), -1.0)
 
 
 class TestSolve:
@@ -382,8 +381,8 @@ class TestSolve:
                 radda_solve(p, **bad)
 
     def test_solve_attaches_partial_report(self, monkeypatch):
-        # genuine cores never break down for stabilizable data, so force
-        # the failure to exercise the partial-report plumbing
+        # example 1 never breaks a step down, so force the failure to
+        # exercise the partial-report plumbing
         import radda.lowrank as lowrank_mod
         orig = lowrank_mod.radda_step
 
@@ -401,6 +400,18 @@ class TestSolve:
         assert rep.residual_history[0][0] == 0
         assert rep.iterations == 1
         assert rep.alpha == 17.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_unstable_input_breaks_down_early(self):
+        # the iterates of an unstable A grow until a step's Gram matrix
+        # overflows; the solve must name that within a few doublings and
+        # before any overflow warning
+        with pytest.raises(BreakdownError) as err:
+            radda_solve(unstable_problem())
+        assert err.value.k < 10
+        rep = err.value.report
+        assert rep.termination == "breakdown"
+        assert rep.iterations == err.value.k
 
 
 class TestRandomSweep:
