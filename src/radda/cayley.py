@@ -7,12 +7,13 @@ the two Schur-complement-like matrices
 
     U_a = A_a' + Q A_a^{-1} G,        V_a = A_a + G A_a^{-T} Q,
 
-are applied through the Woodbury identity with m x m / p x p cores, so the
+are applied through the Woodbury identity with p x m couplings, so the
 large-scale path never forms an n x n inverse.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -44,7 +45,11 @@ def _norm_shift(problem: CareProblem) -> float:
     absA = abs(problem.A)
     n1 = float(np.asarray(absA.sum(axis=0)).max())
     ninf = float(np.asarray(absA.sum(axis=1)).max())
-    alpha = float(np.sqrt(n1 * ninf))
+    # one power of two scales both norms: the product cannot overflow (they
+    # are within a factor n), and a shift finite unscaled is bit-identical
+    e = math.frexp(max(n1, ninf))[1]
+    alpha = math.ldexp(
+        math.sqrt(math.ldexp(n1, -e) * math.ldexp(ninf, -e)), e)
     if alpha <= 0.0:
         raise ValueError("A = 0 admits no positive default shift")
     return alpha
@@ -84,13 +89,13 @@ def _doubling_rate(problem: CareProblem, alpha: float) -> float:
     """Power-iteration estimate of the spectral radius of the base
     doubling operator E_a at shift a = alpha.
 
-    From z = P0 / ||P0||_F (P0 = A_a^{-1} B), RATE_APPLIES applies of E_a,
-    renormalizing after each, give the geometric mean of the growth
-    factors ||E_a z||_F.  The operator, and with it the factorization of
-    A - alpha I, lives only as long as this call.
+    From z = P / ||P||_F (op.P spans the range of A_a^{-1} B), RATE_APPLIES
+    applies of E_a, renormalizing after each, give the geometric mean of
+    the growth factors ||E_a z||_F.  The operator, and with it the
+    factorization of A - alpha I, lives only as long as this call.
     """
     op = build_shifted(problem, alpha)
-    z = op.P0
+    z = op.P
     scale = float(np.linalg.norm(z))
     rate = 1.0
     for _ in range(RATE_APPLIES):
@@ -113,8 +118,8 @@ def build_shifted(problem: CareProblem, alpha: float) -> BaseDoublingOperator:
 
     Factors A - alpha I once, one factorization serving both orientations
     (a band LU for narrow-band sparse A, SuperLU for other sparse A and an
-    LAPACK LU for dense A; see _factor), then solves for
-    D0 and P0 and forms W0 and the Cholesky factor of the operator's core.
+    LAPACK LU for dense A; see _factor), then solves for the starting
+    iterates' Cholesky factors D and P and the operator's two couplings.
     An exactly singular shifted matrix raises ShiftSingularError; a bad
     shift, or shifted solves that come out non-finite, raise ValueError.
     """
@@ -214,19 +219,30 @@ def _band_factor(A, alpha: float):
     return solve
 
 
+def _times_inv_lt(Z: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Z L^{-T} by L's explicit inverse: faster than a solve on a tall Z."""
+    return Z @ sla.solve_triangular(L, np.eye(len(L)), lower=True).T
+
+
 class BaseDoublingOperator:
-    """The k = 0 doubling operator I + 2a V_a^{-1} at one shift a, matrix-free.
+    """The k = 0 doubling operator I + 2a V_a^{-1} at one shift a,
+    matrix-free, with the Cholesky factors of the starting iterates.
 
-    By the Woodbury identity
+    From D0 = A_a^{-T} C' (n x p), P0 = A_a^{-1} B (n x m) and
+    W0 = D0'B = C A_a^{-1} B (p x m), the attributes D and P beside alpha
+    are
 
-        V_a^{-1} = A_a^{-1} - P0 (I + W0'W0)^{-1} W0' C A_a^{-1},
+        D = sqrt(2a) D0 L^{-T},    L L' = I + W0 W0',
+        P = sqrt(2a) P0 M^{-T},    M M' = I + W0' W0,
 
-    with the k = 0 blocks D0 = A_a^{-T} C' (n x p), P0 = A_a^{-1} B
-    (n x m) and W0 = D0'B = C A_a^{-1} B (p x m), exposed as attributes
-    beside alpha; the m x m core I + W0'W0 is SPD and factored once by
-    Cholesky.  apply costs one shifted solve plus thin corrections, and
-    apply_t is the transposed action from the same data.  Built by
-    build_shifted.
+    so X0 = 2a D0 (I + W0 W0')^{-1} D0' = D D' and
+    Y0 = 2a P0 (I + W0'W0)^{-1} P0' = P P'.  By the Woodbury identity
+
+        apply(Z)   = Z + 2a u - P (K_p (C u)),     u = A_a^{-1} Z,
+        apply_t(Z) = Z + 2a v - D (K_d (B'v)),     v = A_a^{-T} Z,
+
+    with K_p = sqrt(2a) M^{-1} W0' and K_d = sqrt(2a) L^{-1} W0: one
+    shifted solve plus thin corrections per apply.  Built by build_shifted.
     """
 
     def __init__(self, problem: CareProblem, alpha: float, solve):
@@ -235,23 +251,25 @@ class BaseDoublingOperator:
         if not (np.all(np.isfinite(D0)) and np.all(np.isfinite(P0))):
             raise ValueError("shifted solves produced non-finite values; "
                              "the shift is numerically unusable")
+        W0 = D0.T @ problem.B
+        # an overflowed W0 W0' is non-finite and raises ValueError here
+        L = sla.cholesky(np.eye(problem.p) + W0 @ W0.T, lower=True)
+        M = sla.cholesky(np.eye(problem.m) + W0.T @ W0, lower=True)
+        scale = np.sqrt(2.0 * alpha)
         self.alpha = float(alpha)
-        self.D0 = D0
-        self.P0 = P0
-        self.W0 = D0.T @ problem.B
+        self.D = scale * _times_inv_lt(D0, L)
+        self.P = scale * _times_inv_lt(P0, M)
+        self._K_d = scale * sla.solve_triangular(L, W0, lower=True)
+        self._K_p = scale * sla.solve_triangular(M, W0.T, lower=True)
         self._C = problem.C
         self._B = problem.B
         self._solve = solve
         self._two_alpha = 2.0 * self.alpha
-        self._E0 = D0 @ self.W0
-        self._chol = sla.cho_factor(np.eye(problem.m) + self.W0.T @ self.W0)
 
     def apply(self, Z: np.ndarray) -> np.ndarray:
         u = self._solve(Z)
-        h = sla.cho_solve(self._chol, self.W0.T @ (self._C @ u))
-        return Z + self._two_alpha * (u - self.P0 @ h)
+        return Z + self._two_alpha * u - self.P @ (self._K_p @ (self._C @ u))
 
     def apply_t(self, Z: np.ndarray) -> np.ndarray:
         v = self._solve(Z, transposed=True)
-        h = sla.cho_solve(self._chol, self._B.T @ v)
-        return Z + self._two_alpha * (v - self._E0 @ h)
+        return Z + self._two_alpha * v - self.D @ (self._K_d @ (self._B.T @ v))

@@ -23,7 +23,8 @@ from time import perf_counter
 import numpy as np
 import scipy.linalg as sla
 
-from .cayley import BaseDoublingOperator, build_shifted, choose_alpha
+from .cayley import BaseDoublingOperator, _times_inv_lt, build_shifted, \
+    choose_alpha
 from .problems import BreakdownError, CareProblem, LowRankSymmetric, drive, \
     iterate, qnorm as _qnorm_of, relative_residual, spectral_norm_sym
 
@@ -65,8 +66,10 @@ def _apply_level(base: BaseDoublingOperator, chain: tuple, j: int,
 
 @dataclass(frozen=True)
 class RaddaState:
-    """One factored iterate: X_k = D D', Y_k = P P', the depth-k doubling
-    operator and the cached cross-Gram matrix D'P.
+    """One factored iterate: X_k = D D', Y_k = P P' and the depth-k
+    doubling operator.  The factors are all it keeps of the iterate; a
+    step forms the cross-Gram D'P itself, and no array of a state is
+    written after it is built (at k = 0, D and P are the base operator's).
 
     The operator ahat_k is the base operator followed by chain, the
     tuple of k thin corrections (U_j, V_j) that apply_ahat reads; a step
@@ -86,7 +89,6 @@ class RaddaState:
     P: np.ndarray
     base: BaseDoublingOperator
     chain: tuple
-    cross: np.ndarray
     chol: tuple | None = None
 
     @property
@@ -98,30 +100,12 @@ class RaddaState:
         return self.P.shape[1]
 
 
-def _times_inv_lt(Z: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Z L^{-T} by L's explicit inverse: faster than a solve on a tall Z."""
-    return Z @ sla.solve_triangular(L, np.eye(len(L)), lower=True).T
-
-
-def init_lowrank(problem: CareProblem,
-                 op: BaseDoublingOperator) -> RaddaState:
-    """The factored k = 0 iterate on the base operator op (build_shifted).
-
-    From op's D0 = A_a^{-T} C', P0 = A_a^{-1} B and W0 = D0'B, the factors
-
-        D = sqrt(2a) D0 L^{-T},    L L' = I + W0 W0',
-        P = sqrt(2a) P0 M^{-T},    M M' = I + W0' W0,
-
-    of X0 = 2a D0 (I + W0 W0')^{-1} D0' and Y0 = 2a P0 (I + W0'W0)^{-1} P0'
-    take two small Cholesky factorizations and no solve with A.
+def init_lowrank(op: BaseDoublingOperator) -> RaddaState:
+    """The factored k = 0 iterate X0 = D D', Y0 = P P' on the base
+    operator op (build_shifted), which already holds both factors: the
+    state shares op.D and op.P and does no work of its own.
     """
-    W0 = op.W0
-    scale = np.sqrt(2.0 * op.alpha)
-    D = scale * _times_inv_lt(
-        op.D0, np.linalg.cholesky(np.eye(problem.p) + W0 @ W0.T))
-    P = scale * _times_inv_lt(
-        op.P0, np.linalg.cholesky(np.eye(problem.m) + W0.T @ W0))
-    return RaddaState(k=0, D=D, P=P, base=op, chain=(), cross=D.T @ P)
+    return RaddaState(k=0, D=op.D, P=op.P, base=op, chain=())
 
 
 def _first_two_powers(base: BaseDoublingOperator, chain: tuple,
@@ -138,7 +122,8 @@ def _first_two_powers(base: BaseDoublingOperator, chain: tuple,
 def radda_step(state: RaddaState) -> RaddaState:
     """Advance the factored iterate one doubling step.
 
-    With the cross-Gram W = D'P cached and the lower Cholesky factors
+    With the cross-Gram W = D'P, formed here from the factors, and the
+    lower Cholesky factors
 
         L_x L_x' = I + W W',      L_y L_y' = I + W'W,
 
@@ -163,7 +148,8 @@ def radda_step(state: RaddaState) -> RaddaState:
     so each side takes two depth-(k-1) applies of half width in place of
     one depth-k apply.  Other states apply the depth-k chain directly.
     """
-    D, P, W, k = state.D, state.P, state.cross, state.k
+    D, P, k = state.D, state.P, state.k
+    W = D.T @ P
     p_k, m_k = W.shape
     if not np.all(np.isfinite(W)):
         raise BreakdownError(f"D'P is non-finite at iteration {k}", k=k)
@@ -192,17 +178,12 @@ def radda_step(state: RaddaState) -> RaddaState:
     N_x = _times_inv_lt(N_x, L_x)
     N_y = _times_inv_lt(N_y, L_y)
     small = sla.solve_triangular(L_y, W.T @ L_x, lower=True)
-    chain_next = chain + ((-(N_y @ small), N_x),)
-
-    cross_next = np.block([[W, D.T @ N_y],
-                           [N_x.T @ P, N_x.T @ N_y]])
     return RaddaState(
         k=k + 1,
         D=np.hstack([D, N_x]),
         P=np.hstack([P, N_y]),
         base=base,
-        chain=chain_next,
-        cross=cross_next,
+        chain=chain + ((-(N_y @ small), N_x),),
         chol=(L_x, L_y),
     )
 
@@ -312,11 +293,11 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         state = radda_step(state)
         D = truncate_factors(state.D, truncate_tol)
         P = truncate_factors(state.P, truncate_tol)
-        return replace(state, D=D, P=P, cross=D.T @ P, chol=None)
+        return replace(state, D=D, P=P, chol=None)
 
     t0 = perf_counter()
     a = choose_alpha(problem) if alpha is None else float(alpha)
-    state = init_lowrank(problem, build_shifted(problem, a))
+    state = init_lowrank(build_shifted(problem, a))
     qn = _qnorm_of(problem)
     state, report = drive(
         iterate(state, truncated_step if truncate_tol > 0.0 else radda_step),

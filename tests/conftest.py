@@ -32,6 +32,12 @@ def random_stable_problem(rng, n, mp=1, scale=0.1):
     return CareProblem(A.tocsr(), B, C)
 
 
+def uneven_problem():
+    """p = 1 output, m = 2 inputs, so the D and P sides differ in width."""
+    base = random_stable_problem(np.random.default_rng(5), 20, mp=2)
+    return CareProblem(base.A, base.B, base.C[:1])
+
+
 def unstable_problem(n=64):
     """The first example family moved right by 13 I: every eigenvalue of A
     has real part +1, so the doubling iterates grow without bound."""

@@ -56,7 +56,7 @@ def criterion(num, label):
 
 
 def lowrank_state(problem, alpha):
-    return init_lowrank(problem, build_shifted(problem, alpha))
+    return init_lowrank(build_shifted(problem, alpha))
 
 
 def dense_state(problem, alpha):

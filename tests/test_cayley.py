@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import (convection_diffusion_problem, random_stable_problem,
-                      scalar_problem)
+                      scalar_problem, uneven_problem)
 from radda import (CareProblem, ShiftSingularError, SizeCapError,
                    build_shifted, choose_alpha, init_dense, init_lowrank,
                    make_example1, make_example2, radda_solve)
@@ -105,6 +105,13 @@ class TestChooseAlpha:
         dense = CareProblem(p.a_dense(), p.B, p.C)
         assert choose_alpha(p) == pytest.approx(choose_alpha(dense), rel=1e-15)
 
+    def test_huge_norms_give_a_finite_shift(self):
+        # ||A||_1 ||A||_inf = 1e400 overflows, the shift 1e200 does not
+        p = CareProblem(-1e200 * np.eye(3), np.ones((3, 1)), np.ones((1, 3)))
+        _, report = radda_solve(p)
+        assert report.alpha == pytest.approx(1e200, rel=1e-15)
+        assert report.termination == "converged"
+
     def test_zero_matrix_rejected(self):
         p = CareProblem(np.zeros((3, 3)), np.ones((3, 1)), np.ones((1, 3)))
         with pytest.raises(ValueError):
@@ -120,13 +127,13 @@ class TestBuildShifted:
             p = CareProblem(p.a_dense(), p.B, p.C)
         alpha = 3.5
         op = build_shifted(p, alpha)
-        Aa = p.a_dense() - alpha * np.eye(10)
+        dense = init_dense(p, alpha)
         assert op.alpha == alpha
-        np.testing.assert_allclose(op.D0, np.linalg.solve(Aa.T, p.C.T),
-                                   atol=1e-12)
-        np.testing.assert_allclose(op.P0, np.linalg.solve(Aa, p.B),
-                                   atol=1e-12)
-        np.testing.assert_array_equal(op.W0, op.D0.T @ p.B)
+        assert op.D.shape == (10, p.p) and op.P.shape == (10, p.m)
+        np.testing.assert_allclose(op.D @ op.D.T, dense.X, rtol=0.0,
+                                   atol=1e-12 * np.abs(dense.X).max())
+        np.testing.assert_allclose(op.P @ op.P.T, dense.Y, rtol=0.0,
+                                   atol=1e-12 * np.abs(dense.Y).max())
 
     def test_singular_shift_sparse(self):
         p = CareProblem(sp.identity(6, format="csr"), np.ones((6, 1)),
@@ -186,7 +193,7 @@ class TestFactorPaths:
         for problem, alpha in ((make_example2(2000), 9.0),
                                (make_example1(2000), 17.0)):
             op = build_shifted(problem, alpha)
-            assert np.all(np.isfinite(op.D0)) and np.all(np.isfinite(op.P0))
+            assert np.all(np.isfinite(op.D)) and np.all(np.isfinite(op.P))
 
     def test_singular_wide_band_raises_from_superlu(self, splu_calls):
         # one stored entry at (0, n-1) makes the band as wide as A, so
@@ -235,8 +242,8 @@ class TestFactorPaths:
         assert not dup.has_canonical_format
         want = build_shifted(problem, alpha)
         got = build_shifted(CareProblem(dup, problem.B, problem.C), alpha)
-        np.testing.assert_array_equal(got.D0, want.D0)
-        np.testing.assert_array_equal(got.P0, want.P0)
+        np.testing.assert_array_equal(got.D, want.D)
+        np.testing.assert_array_equal(got.P, want.P)
         # factoring reads the duplicate without rewriting the caller's A
         assert dup.nnz == A.nnz + 1
 
@@ -244,29 +251,30 @@ class TestFactorPaths:
 class TestInitLowRank:
     def test_scalar_values(self):
         p = scalar_problem()
-        init = init_lowrank(p, build_shifted(p, 1.0))
+        op = build_shifted(p, 1.0)
+        init = init_lowrank(op)
         # D0 = P0 = -0.5 scaled by sqrt(2a / (1 + W0^2)) = sqrt(1.6)
         assert init.D[0, 0] == pytest.approx(-np.sqrt(0.4), abs=1e-15)
         assert init.P[0, 0] == pytest.approx(-np.sqrt(0.4), abs=1e-15)
         x0 = (init.D @ init.D.T)[0, 0]
         assert x0 == pytest.approx(0.4, abs=1e-15)
-        # the k = 0 iterate: no chain corrections, the cached cross-Gram
-        # D'P, and factors that no step has appended to
+        # the k = 0 iterate: no chain corrections, factors that no step
+        # has appended to, and the operator's own factors, not copies
         assert (init.k, len(init.chain), init.chol) == (0, 0, None)
-        np.testing.assert_array_equal(init.cross, init.D.T @ init.P)
+        assert init.D is op.D and init.P is op.P and init.base is op
 
     def test_cross_blocks_agree_both_routes(self):
         # D0'B and C P0 are the same matrix reached through the forward
-        # and transposed solve; they must agree to rounding
+        # and transposed solve; with p = m = 1 both factors carry the same
+        # scale sqrt(2a / (1 + W0^2)), so D'B and C P must agree to rounding
         p = make_example2(20)
         op = build_shifted(p, choose_alpha(p))
-        W0 = op.D0.T @ p.B
-        V0 = p.C @ op.P0
-        np.testing.assert_allclose(W0, V0, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(op.D.T @ p.B, p.C @ op.P, rtol=0.0,
+                                   atol=1e-15)
 
     def test_reconstruction_matches_dense_init(self):
         p = make_example1(16)
-        init = init_lowrank(p, build_shifted(p, 17.0))
+        init = init_lowrank(build_shifted(p, 17.0))
         dense = init_dense(p, 17.0)
         np.testing.assert_allclose(init.D @ init.D.T, dense.X,
                                    atol=1e-14 * np.abs(dense.X).max())
@@ -274,14 +282,15 @@ class TestInitLowRank:
                                    atol=1e-14 * np.abs(dense.Y).max())
 
     def test_random_starts_match_dense_init(self):
-        # p = m = 2 makes both Cholesky factors of the init 2 x 2
+        # p = m = 2 makes both Cholesky factors of the init 2 x 2; the
+        # uneven problem (p = 1, m = 2) tells the p x p factor from the m x m
         rng = np.random.default_rng(17)
-        for mp in (1, 2):
-            p = random_stable_problem(rng, 15, mp=mp)
+        for p in (random_stable_problem(rng, 15, mp=1),
+                  random_stable_problem(rng, 15, mp=2), uneven_problem()):
             alpha = choose_alpha(p)
-            init = init_lowrank(p, build_shifted(p, alpha))
+            init = init_lowrank(build_shifted(p, alpha))
             dense = init_dense(p, alpha)
-            assert init.D.shape == (15, mp) and init.P.shape == (15, mp)
+            assert init.D.shape == (p.n, p.p) and init.P.shape == (p.n, p.m)
             np.testing.assert_allclose(init.D @ init.D.T, dense.X, rtol=0.0,
                                        atol=1e-13 * np.abs(dense.X).max())
             np.testing.assert_allclose(init.P @ init.P.T, dense.Y, rtol=0.0,
@@ -294,27 +303,29 @@ class TestBaseOperator:
         return op.apply_t(eye) if transposed else op.apply(eye)
 
     def test_matches_dense_operator(self):
-        p = make_example1(16)
-        init = init_lowrank(p, build_shifted(p, 17.0))
-        ahat_dense = init_dense(p, 17.0).ahat
-        got = self.materialize(init.base, 16)
-        np.testing.assert_allclose(got, ahat_dense, atol=1e-14)
-        got_t = self.materialize(init.base, 16, transposed=True)
-        np.testing.assert_allclose(got_t, ahat_dense.T, atol=1e-14)
+        # the uneven problem (p = 1, m = 2) tells the p x m coupling of
+        # apply_t from the m x p one of apply
+        for p, alpha in ((make_example1(16), 17.0), (uneven_problem(), 7.0)):
+            op = build_shifted(p, alpha)
+            ahat_dense = init_dense(p, alpha).ahat
+            got = self.materialize(op, p.n)
+            np.testing.assert_allclose(got, ahat_dense, atol=1e-14)
+            got_t = self.materialize(op, p.n, transposed=True)
+            np.testing.assert_allclose(got_t, ahat_dense.T, atol=1e-14)
 
     def test_degenerate_input_is_pure_cayley(self):
         # with B = 0 the operator collapses to (A + aI)(A - aI)^{-1}
         n, alpha = 12, 5.0
         A = -np.diag(np.arange(1.0, n + 1)) + np.diag(np.ones(n - 1), 1)
         p = CareProblem(A, np.zeros((n, 1)), np.zeros((1, n)))
-        init = init_lowrank(p, build_shifted(p, alpha))
+        init = init_lowrank(build_shifted(p, alpha))
         cayley = np.linalg.solve(A - alpha * np.eye(n), A + alpha * np.eye(n))
         got = self.materialize(init.base, n)
         np.testing.assert_allclose(got, cayley, atol=1e-13)
 
     def test_scalar_value(self):
         p = scalar_problem()
-        init = init_lowrank(p, build_shifted(p, 1.0))
+        init = init_lowrank(build_shifted(p, 1.0))
         got = init.base.apply(np.eye(1))[0, 0]
         assert got == pytest.approx(0.2, abs=1e-15)
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import random_stable_problem, scalar_problem, unstable_problem
+from conftest import random_stable_problem, scalar_problem, \
+    uneven_problem, unstable_problem
 from radda import (BreakdownError, CareProblem, RaddaState, adda_solve_dense,
                    adda_step_dense, apply_ahat, build_shifted,
                    care_oracle_small, choose_alpha, init_dense, init_lowrank,
@@ -22,17 +23,11 @@ SQRT2 = np.sqrt(2.0)
 
 
 def lowrank_state(problem, alpha):
-    return init_lowrank(problem, build_shifted(problem, alpha))
+    return init_lowrank(build_shifted(problem, alpha))
 
 
 def dense_state(problem, alpha):
     return init_dense(problem, alpha)
-
-
-def uneven_problem():
-    """p = 1 output, m = 2 inputs, so the D and P sides differ in width."""
-    base = random_stable_problem(np.random.default_rng(5), 20, mp=2)
-    return CareProblem(base.A, base.B, base.C[:1])
 
 
 def rotate(D, rng):
@@ -70,7 +65,7 @@ class TestStepAlgebra:
         # applied to the operator images computed independently here
         p = make_example2(18)
         s = radda_step(lowrank_state(p, 18.0))  # k=1 state, width 2
-        W = s.cross
+        W = s.D.T @ s.P
         r = s.rank_x
         AD = apply_ahat(s.base, s.chain, s.D, transposed=True)
         AP = apply_ahat(s.base, s.chain, s.P)
@@ -87,21 +82,16 @@ class TestStepAlgebra:
         np.testing.assert_allclose(L_x @ L_x.T, eye + W @ W.T, rtol=1e-14)
         np.testing.assert_allclose(L_y @ L_y.T, eye + W.T @ W, rtol=1e-14)
 
-    def test_cross_cache_is_current(self):
-        s = lowrank_state(make_example1(20), 17.0)
-        for _ in range(3):
-            s = radda_step(s)
-            scale = np.abs(s.cross).max()
-            np.testing.assert_allclose(s.cross, s.D.T @ s.P, rtol=0.0,
-                                       atol=1e-13 * scale)
-
     @pytest.mark.filterwarnings("error")
     def test_breakdown_raises(self):
-        # an overflowed cross-Gram stops the step before any apply, and
-        # before forming W W', whose inf - inf would warn
-        cross = np.array([[np.inf, np.inf], [np.inf, -np.inf]])
-        bad = RaddaState(k=2, D=np.ones((3, 2)), P=np.ones((3, 2)),
-                         base=None, chain=(), cross=cross)
+        # an overflowed factor makes W = D'P = [[inf, -inf], [3, 1]]: the
+        # step stops before any apply, and before forming W W', whose
+        # inf - inf would warn
+        D = np.ones((3, 2))
+        D[0, 0] = np.inf
+        P = np.ones((3, 2))
+        P[0, 1] = -1.0
+        bad = RaddaState(k=2, D=D, P=P, base=None, chain=())
         with pytest.raises(BreakdownError) as err:
             radda_step(bad)
         assert err.value.k == 2
@@ -211,7 +201,7 @@ class TestModifiedFactors:
         assert lr.chol is not None
         rng = np.random.default_rng(7)
         D, P = rotate(lr.D, rng), rotate(lr.P, rng)
-        lr = radda_step(RaddaState(lr.k, D, P, lr.base, lr.chain, D.T @ P))
+        lr = radda_step(RaddaState(lr.k, D, P, lr.base, lr.chain))
         dn = adda_step_dense(dn)
         assert lr.rank_x == 8 * p.p and lr.rank_y == 8 * p.m
         for got, want in ((reconstruct_x(lr), dn.X), (reconstruct_y(lr), dn.Y)):
