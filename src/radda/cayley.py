@@ -9,6 +9,13 @@ the two Schur-complement-like matrices
 
 are applied through the Woodbury identity with p x m couplings, so the
 large-scale path never forms an n x n inverse.
+
+The default shift (choose_alpha) comes from a ladder of powers of two
+around alpha0 = sqrt(||A||_1 ||A||_inf).  Ritz values of A and A^{-1}
+from two short Arnoldi runs give each rung, before any is factored, the
+Cayley contraction that A's own spectrum sets there (its floor); the
+search starts where that floor is lowest and factors only the rungs whose
+floor could still beat the best score so far.
 """
 
 from __future__ import annotations
@@ -31,11 +38,13 @@ class ShiftSingularError(RuntimeError):
 
 #: base applies behind each rung's doubling-rate estimate
 RATE_APPLIES = 8
-#: ratio between consecutive shifts of the search ladder
-LADDER_RATIO = 0.5
-#: bound on the shifts one search factors.  20 rungs reach alpha0 / 5e5,
-#: which is sqrt(lmin lmax), the best single shift, for lmax / lmin up to
-#: about 3e11; a rate that keeps falling cannot run the ladder to underflow
+#: Arnoldi steps of the probe on A, and again on A^{-1}
+PROBE_STEPS = 6
+#: bound on the rungs one search factors, and the ladder's extent: the
+#: rungs are alpha0 2^-j for j = -MAX_RUNGS/2 ... MAX_RUNGS.  The lowest,
+#: alpha0 / 1e6, is sqrt(lmin lmax), the best single shift, for
+#: lmax / lmin up to about 1e12; the highest, 1024 alpha0, leaves room for
+#: a B/C coupling that moves the Hamiltonian's spectrum far left of A's
 MAX_RUNGS = 20
 
 
@@ -56,33 +65,123 @@ def _norm_shift(problem: CareProblem) -> float:
 
 
 def choose_alpha(problem: CareProblem) -> float:
-    """Default shift: the best rung of a halving ladder.
+    """Default shift: the best rung of a ladder alpha0 2^-j, searched from
+    the rung that A's spectrum favours.
 
-    The ladder starts at alpha0 = sqrt(||A||_1 ||A||_inf), which sits
-    near the top of the spectrum, and tries alpha0, alpha0/2, alpha0/4,
-    ...  Each shift is scored by an estimate of the spectral radius of its
-    base doubling operator, which sets how many doublings a solve needs.
-    The search stops at the first rung whose estimate is no lower than the
-    best so far, or after MAX_RUNGS rungs, and returns the best shift.
-    Each rung costs one factorization of A - alpha I, freed before the
-    next rung is built, and RATE_APPLIES base applies of width m.
+    alpha0 = sqrt(||A||_1 ||A||_inf) bounds the spectral radius of A, and
+    the rungs run from alpha0 2^(MAX_RUNGS/2) down to alpha0 2^-MAX_RUNGS.
+    Before any rung is factored, a probe of PROBE_STEPS Arnoldi steps on A
+    and as many on A^{-1} (Penzl's heuristic) estimates both ends of A's
+    spectrum.  Its Ritz values, reflected into the left half-plane, give
+    every rung a floor, the largest Cayley factor |(l + a)/(l - a)| over
+    them: the contraction of that rung's base doubling operator when B and
+    C couple weakly, at no factorization.  The search starts at the rung
+    with the lowest floor and scores a rung by the larger of its floor and
+    an estimate of the base operator's spectral radius, which sees the
+    B/C coupling the floor misses, capped at 1.  It walks down, then up,
+    and ends a direction at the first rung whose score does not improve on
+    the best, or, before factoring it, whose floor alone does not.
 
-    Raises ShiftSingularError if A - alpha0 I is singular, and ValueError
-    for A = 0.  A later rung that is singular or numerically unusable
-    ends the search.
+    Each factored rung costs one factorization of A - alpha I, freed
+    before the next rung is built, and RATE_APPLIES base applies of width
+    m; the probe costs one LU of A, freed before the first rung.  At most
+    MAX_RUNGS rungs are factored.  A rung that is singular or numerically
+    unusable ends the walk in its direction; if it is the start rung, the
+    next-lowest floor starts the walk instead.  Raises ShiftSingularError
+    if no rung is usable, and ValueError for A = 0.
     """
-    alpha = _norm_shift(problem)
-    best_alpha, best_rate = alpha, _doubling_rate(problem, alpha)
-    for _ in range(MAX_RUNGS - 1):
-        alpha *= LADDER_RATIO
+    alpha0 = _norm_shift(problem)
+    js = [j for j in range(-(MAX_RUNGS // 2), MAX_RUNGS + 1)
+          if 0.0 < alpha0 * 2.0 ** -j < math.inf]
+    floors = dict(zip(js, _rung_floors(
+        _probe_ritz(problem, alpha0), [2.0 ** -j for j in js])))
+    factored = 0
+    unusable = set()
+
+    def score(j):
+        nonlocal factored
+        factored += 1
         try:
-            rate = _doubling_rate(problem, alpha)
+            rate = _doubling_rate(problem, alpha0 * 2.0 ** -j)
         except (ShiftSingularError, ValueError):
+            rate = math.nan
+        if not math.isfinite(rate):
+            unusable.add(j)
+        # with a stabilizing solution, E_a's spectral radius is below 1 at
+        # every shift: an estimate above 1 measures transient growth and
+        # ranks no rung above another
+        return min(max(rate, floors[j]), 1.0)
+
+    for start in sorted(js, key=lambda j: (floors[j], abs(j)))[:MAX_RUNGS]:
+        best = score(start)
+        if start not in unusable:
             break
-        if not rate < best_rate:      # a NaN estimate ends the search too
+    else:
+        raise ShiftSingularError("no shift of the search is usable")
+    best_j = start
+    for step in (1, -1):                # down the ladder, then up
+        j = start + step
+        while (j in floors and j not in unusable and factored < MAX_RUNGS
+               and floors[j] < best):
+            s = score(j)
+            if not s < best:            # a NaN score ends the walk too
+                break
+            best_j, best = j, s
+            j += step
+    return alpha0 * 2.0 ** -best_j
+
+
+def _probe_ritz(problem: CareProblem, alpha0: float) -> np.ndarray:
+    """Ritz values of A / alpha0 from PROBE_STEPS Arnoldi steps on A and
+    as many on A^{-1}, both started from B 1 + C' 1 (or from ones when
+    that vanishes).  The A^{-1} half is left out if A is singular or its
+    solves are not finite; its LU is freed on return."""
+    A = problem.A
+    v0 = problem.B.sum(axis=1) + problem.C.sum(axis=0)
+    if not np.linalg.norm(v0) > 0.0:
+        v0 = np.ones(problem.n)
+    ritz = _arnoldi_ritz(lambda v: (A @ v) / alpha0, v0)
+    try:
+        solve = _factor(problem, 0.0)
+    except ShiftSingularError:
+        return ritz
+    theta = _arnoldi_ritz(lambda v: alpha0 * solve(v), v0)
+    theta = theta[np.abs(theta) > np.finfo(float).tiny]
+    return np.concatenate([ritz, 1.0 / theta])
+
+
+def _arnoldi_ritz(matvec, v: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hessenberg matrix of up to PROBE_STEPS Arnoldi
+    steps from v, with Gram-Schmidt run twice per step.  A step whose
+    image is not finite ends the run; an invariant subspace ends it with
+    exact eigenvalues."""
+    V = np.empty((PROBE_STEPS + 1, v.size))     # the basis, one per row
+    H = np.zeros((PROBE_STEPS + 1, PROBE_STEPS))
+    V[0] = v / np.linalg.norm(v)
+    k = 0
+    for j in range(PROBE_STEPS):
+        w = np.asarray(matvec(V[j]), dtype=float).ravel()
+        scale = np.linalg.norm(w)
+        if not np.isfinite(scale):
             break
-        best_alpha, best_rate = alpha, rate
-    return best_alpha
+        for _ in range(2):
+            h = V[:j + 1] @ w
+            w -= h @ V[:j + 1]
+            H[:j + 1, j] += h
+        H[j + 1, j] = np.linalg.norm(w)
+        k = j + 1
+        if not H[j + 1, j] > 1e-12 * scale:
+            break
+        V[j + 1] = w / H[j + 1, j]
+    return np.linalg.eigvals(H[:k, :k])
+
+
+def _rung_floors(ritz: np.ndarray, shifts) -> list:
+    """For each shift a, max |(l + a)/(l - a)| over the Ritz values l
+    reflected into the closed left half-plane (0 for no Ritz values)."""
+    lam = -np.abs(ritz.real) + 1j * ritz.imag
+    return [float(np.abs((lam + a) / (lam - a)).max(initial=0.0))
+            for a in shifts]
 
 
 def _doubling_rate(problem: CareProblem, alpha: float) -> float:

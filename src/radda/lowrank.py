@@ -254,7 +254,8 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         Coefficient data; A may be sparse (preferred at scale) or dense.
     alpha : float, optional
         Positive shift.  Default: choose_alpha(problem), the best rung of
-        a halving search that starts at sqrt(||A||_1 ||A||_inf).
+        a ladder of powers of two around sqrt(||A||_1 ||A||_inf), searched
+        from the rung that Ritz values of A and A^{-1} favour.
     tol : float
         Stop once the relative residual drops to tol or below.
     maxit : int
@@ -274,8 +275,8 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
     Raises
     ------
     ShiftSingularError
-        if A - alpha I is singular (for the default shift: at the search's
-        first rung, sqrt(||A||_1 ||A||_inf)).
+        if A - alpha I is singular (for the default shift: if no rung of
+        the search is usable).
     BreakdownError
         if a step's cross-Gram matrix D'P turns non-finite or one of its
         two Cholesky factorizations fails mid-run; the exception carries

@@ -6,7 +6,8 @@ stored as (offset, band) pairs ("banded") while its d distinct diagonals
 hold no more than 2 nnz entries (d n <= 2 nnz), and otherwise as the
 data, indices and indptr arrays of its canonical CSR form ("csr"), so a
 file stays O(nnz + n); dense A as nested row lists.  B is stored flat in
-column-major order, C flat in row-major order.
+column-major order, C flat in row-major order.  A solution's identity
+core, which radda_solve always returns, is stored as its kind alone.
 """
 
 from __future__ import annotations
@@ -120,12 +121,14 @@ def load_problem(path) -> CareProblem:
 
 def solution_to_dict(x: LowRankSymmetric) -> dict:
     """Factored solution as {factor, core}; the represented matrix is
-    factor @ core @ factor.T."""
+    factor @ core @ factor.T.  An identity core is written as
+    {"kind": "identity"}, any other core as a dense matrix."""
+    identity = np.array_equal(x.S, np.eye(x.rank))
     return {
         "n": x.n,
         "rank": x.rank,
         "factor": _matrix_to_dict(x.F),
-        "core": _matrix_to_dict(x.S),
+        "core": {"kind": "identity"} if identity else _matrix_to_dict(x.S),
         "reconstruct": "X = factor @ core @ factor.T",
     }
 
@@ -133,7 +136,10 @@ def solution_to_dict(x: LowRankSymmetric) -> dict:
 def solution_from_dict(doc: dict) -> LowRankSymmetric:
     n, r = int(doc["n"]), int(doc["rank"])
     F = np.asarray(doc["factor"]["entries"], dtype=float).reshape((n, r))
-    S = np.asarray(doc["core"]["entries"], dtype=float).reshape((r, r))
+    core = doc["core"]
+    if core.get("kind") == "identity":
+        return LowRankSymmetric(F, np.eye(r))
+    S = np.asarray(core["entries"], dtype=float).reshape((r, r))
     return LowRankSymmetric(F, S)
 
 

@@ -1,5 +1,6 @@
 """Shift choice, shifted factorizations, and the two initializations."""
 
+import warnings
 import weakref
 
 import numpy as np
@@ -11,7 +12,15 @@ from conftest import (convection_diffusion_problem, random_stable_problem,
 from radda import (CareProblem, ShiftSingularError, SizeCapError,
                    build_shifted, choose_alpha, init_dense, init_lowrank,
                    make_example1, make_example2, radda_solve)
-from radda.cayley import RATE_APPLIES
+from radda.cayley import MAX_RUNGS, RATE_APPLIES, _norm_shift
+
+
+def coupled_problem():
+    """Example 1 at n = 64 with B and C scaled by 100: the coupling moves
+    the Hamiltonian's spectrum far left of A's, so the best shift sits
+    above the norm shift and the search factors several rungs."""
+    p = make_example1(64)
+    return CareProblem(p.A, 100.0 * p.B, 100.0 * p.C)
 
 
 class TestChooseAlpha:
@@ -30,21 +39,20 @@ class TestChooseAlpha:
         return tried
 
     def test_example_values_are_exact(self, rungs):
-        # the ladder starts at sqrt(||A||_1 ||A||_inf), whose norms equal
-        # the interior row/column sums once n is big enough for an interior
-        # row to exist, and halves from there until the rate stops falling
+        # the probe's floors put the search's start on the chosen rung, and
+        # neither neighbour's floor beats its score, so no other is factored
         for problem, tried, chosen in (
-                (make_example1(8), [17.0, 8.5], 17.0),
-                (make_example1(512), [17.0, 8.5], 17.0),
-                (make_example2(16), [18.0, 9.0, 4.5], 9.0)):
+                (make_example1(8), [17.0], 17.0),
+                (make_example1(512), [17.0], 17.0),
+                (make_example2(16), [9.0], 9.0)):
             rungs.clear()
             assert choose_alpha(problem) == chosen
             assert rungs == tried
 
-    def test_spread_spectrum_takes_a_lower_rung(self, rungs):
+    def test_spread_spectrum_takes_a_lower_rung(self):
         p = convection_diffusion_problem(np.random.default_rng(0), 16)
         alpha = choose_alpha(p)
-        alpha0 = rungs[0]
+        alpha0 = _norm_shift(p)
         assert alpha < alpha0 / 4
         kw = dict(tol=1e-10, truncate_tol=1e-13)
         _, at_norm_shift = radda_solve(p, alpha=alpha0, **kw)
@@ -53,20 +61,72 @@ class TestChooseAlpha:
         assert at_norm_shift.termination == "converged"
         assert at_chosen.termination == "converged"
         assert at_chosen.iterations < at_norm_shift.iterations
+        assert at_chosen.iterations <= 6
+
+    def test_log_spread_diagonal_gets_its_geometric_shift(self):
+        # eigenvalues -1 ... -1e8: the best single shift is sqrt(1 * 1e8)
+        n = 64
+        A = sp.diags(-np.logspace(0, 8, n), format="csr")
+        p = CareProblem(A, np.ones((n, 1)), np.ones((1, n)))
+        assert 0.5e4 <= choose_alpha(p) <= 2e4
+
+    def test_strong_coupling_takes_a_higher_rung(self):
+        p = coupled_problem()
+        alpha = choose_alpha(p)
+        alpha0 = _norm_shift(p)
+        assert alpha > alpha0
+        _, at_norm_shift = radda_solve(p, alpha=alpha0)
+        _, at_chosen = radda_solve(p, alpha=alpha)
+        assert at_chosen.termination == "converged"
+        assert at_chosen.iterations < at_norm_shift.iterations
 
     @pytest.mark.parametrize("sparse", [True, False])
     def test_singular_later_rung_ends_search(self, rungs, sparse):
-        # the norm shift is 4, and A - 2I is exactly singular
+        # A - 2I is exactly singular, and 2 has the lowest floor: the search
+        # starts at the next-lowest one, 1, and the walk up ends at 2
         A = np.diag([-4.0, 2.0, -1.0])
         p = CareProblem(sp.csr_matrix(A) if sparse else A, np.ones((3, 1)),
                         np.ones((1, 3)))
-        assert choose_alpha(p) == 4.0
-        assert rungs == [4.0, 2.0]
+        assert choose_alpha(p) == 1.0
+        assert rungs == [2.0, 1.0, 0.5]
 
-    def test_singular_first_rung_raises(self):
+    def test_singular_start_rung_is_skipped(self, rungs):
+        # the norm shift 1 is A's eigenvalue, so its floor is 0
         p = CareProblem(np.eye(3), np.ones((3, 1)), np.ones((1, 3)))
+        alpha = choose_alpha(p)
+        assert rungs[0] == 1.0 and 1.0 not in rungs[1:]
+        assert alpha in rungs[1:]
+
+    def test_no_usable_rung_raises(self, monkeypatch):
+        import radda.cayley as cayley_mod
+        tried = []
+
+        def singular(problem, alpha):
+            tried.append(alpha)
+            raise ShiftSingularError(f"A - {alpha} I is singular")
+
+        monkeypatch.setattr(cayley_mod, "build_shifted", singular)
         with pytest.raises(ShiftSingularError):
-            choose_alpha(p)
+            choose_alpha(make_example1(8))
+        assert len(tried) == MAX_RUNGS == len(set(tried))
+
+    @pytest.mark.parametrize("case", ["B = 0", "C = 0", "A singular",
+                                      "huge A"])
+    def test_degenerate_inputs_give_a_finite_shift(self, case):
+        n = 64
+        A, B, C = make_example1(n).A, np.ones((n, 1)), np.ones((1, n))
+        if case == "B = 0":
+            B = np.zeros((n, 1))
+        elif case == "C = 0":
+            C = np.zeros((1, n))
+        elif case == "A singular":
+            A = sp.diags(-np.arange(n, dtype=float), format="csr")
+        else:
+            A, B, C = -1e200 * np.eye(3), np.ones((3, 1)), np.ones((1, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha = choose_alpha(CareProblem(A, B, C))
+        assert np.isfinite(alpha) and alpha > 0.0
 
     def test_each_rung_costs_rate_applies(self, rungs, monkeypatch):
         import radda.cayley as cayley_mod
@@ -79,25 +139,26 @@ class TestChooseAlpha:
             return apply(self, Z)
 
         monkeypatch.setattr(op, "apply", counted)
-        p = random_stable_problem(np.random.default_rng(4), 30, mp=2)
+        p = coupled_problem()
         choose_alpha(p)
         assert len(rungs) >= 2
         assert widths == [p.m] * (RATE_APPLIES * len(rungs))
 
     def test_each_rung_is_freed_before_the_next(self, monkeypatch):
+        # every factorization the search makes, the probe's LU of A among
+        # them, is freed before the next one is made
         import radda.cayley as cayley_mod
         live = []
-        build = cayley_mod.build_shifted
+        factor = cayley_mod._factor
 
         def tracked(problem, alpha):
             assert all(ref() is None for ref in live)
-            shifted = build(problem, alpha)
-            live.append(weakref.ref(shifted))
-            return shifted
+            solve = factor(problem, alpha)
+            live.append(weakref.ref(solve))
+            return solve
 
-        monkeypatch.setattr(cayley_mod, "build_shifted", tracked)
-        choose_alpha(convection_diffusion_problem(np.random.default_rng(1),
-                                                  8))
+        monkeypatch.setattr(cayley_mod, "_factor", tracked)
+        choose_alpha(coupled_problem())
         assert len(live) >= 3
 
     def test_sparse_and_dense_paths_agree(self):

@@ -163,12 +163,13 @@ class TestRun:
         assert "termination=breakdown" in err
 
     def test_singular_shift_is_exit_3(self, capsys, tmp_path):
-        # A = I makes the default shift alpha = 1 land exactly on an
-        # eigenvalue, so the shifted factorisation is singular.
+        # alpha = 1 is an eigenvalue of A = I, so the shifted
+        # factorisation is singular
         path = tmp_path / "identity.json"
         problem = CareProblem(np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
         save_problem(path, problem)
-        code, _, err = run_main(capsys, ["run", "--problem", str(path)])
+        code, _, err = run_main(capsys, ["run", "--problem", str(path),
+                                         "--alpha", "1"])
         assert code == EXIT_BREAKDOWN
         assert "error:" in err
 

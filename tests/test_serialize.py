@@ -101,6 +101,32 @@ def test_solution_round_trip(tmp_path):
     np.testing.assert_array_equal(x.F, z.F)
 
 
+@pytest.mark.parametrize("identity", [True, False])
+def test_solution_core_round_trip(identity):
+    rng = np.random.default_rng(22)
+    F = rng.standard_normal((6, 4))
+    S = np.eye(4) if identity else np.diag([1.0, 2.0, 3.0, 4.0])
+    doc = json.loads(json.dumps(solution_to_dict(LowRankSymmetric(F, S))))
+    if identity:
+        assert doc["core"] == {"kind": "identity"}
+    else:
+        assert doc["core"]["kind"] == "dense"
+    y = solution_from_dict(doc)
+    np.testing.assert_array_equal(y.F, F)
+    np.testing.assert_array_equal(y.S, S)
+
+
+def test_dense_identity_core_still_loads():
+    # files written before identity cores had their own kind
+    F = np.arange(6.0).reshape(3, 2)
+    doc = {"n": 3, "rank": 2,
+           "factor": {"kind": "dense", "entries": F.tolist()},
+           "core": {"kind": "dense", "entries": np.eye(2).tolist()}}
+    y = solution_from_dict(doc)
+    np.testing.assert_array_equal(y.F, F)
+    np.testing.assert_array_equal(y.S, np.eye(2))
+
+
 def test_random_problem_round_trip_sweep():
     rng = np.random.default_rng(4)
     for n, mp in ((4, 1), (11, 2), (23, 3)):
