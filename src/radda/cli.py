@@ -244,8 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
     one_problem.add_argument("--n", type=int, default=None,
                              help="problem size for --example (default 128)")
     one_problem.add_argument("--alpha", type=float, default=None,
-                             help="shift override (default: a halving "
-                                  "search from sqrt of the norm product)")
+                             help="shift override (default: "
+                                  "choose_alpha's power-of-two search)")
 
     engine = argparse.ArgumentParser(add_help=False)
     engine.add_argument("--mode", choices=("lowrank", "dense"),

@@ -32,7 +32,7 @@ from .problems import BreakdownError, CareProblem, LowRankSymmetric, drive, \
 def apply_ahat(base: BaseDoublingOperator, chain: tuple, Z: np.ndarray,
                transposed: bool = False) -> np.ndarray:
     """Apply the depth-k doubling operator (or its transpose) to an n x t
-    block.
+    block or an n-vector.
 
     Level j acts as the square of level j-1 plus a thin correction
     U_j V_j', with chain[j-1] = (U_j, V_j) holding n x p_{j-1} blocks and
@@ -41,14 +41,10 @@ def apply_ahat(base: BaseDoublingOperator, chain: tuple, Z: np.ndarray,
     the full width of Z, k = len(chain), which stays cheap for the small
     iteration counts the quadratic convergence produces.
     """
-    Z = np.asarray(Z, dtype=float)
-    squeeze = Z.ndim == 1
-    if squeeze:
-        Z = Z[:, None]
     out = _apply_level(base, chain, len(chain), Z, transposed)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("operator apply produced non-finite values")
-    return out[:, 0] if squeeze else out
+    return out
 
 
 def _apply_level(base: BaseDoublingOperator, chain: tuple, j: int,
@@ -203,7 +199,7 @@ def residual_lowrank(problem: CareProblem, D: np.ndarray,
 
     The identity needs no rank assumptions on F.  A zero ||Q||_2 triggers
     the same absolute-residual fallback as the dense path.  Non-finite
-    entries in F raise ValueError.
+    entries in F raise ValueError, an overflowing core gives inf.
     """
     D = np.asarray(D, dtype=float)
     n, p = problem.n, problem.p
@@ -219,9 +215,12 @@ def residual_lowrank(problem: CareProblem, D: np.ndarray,
     # R times the block core times R', one block at a time; eigvalsh reads
     # only the lower triangle
     R1, R2, R3 = R[:, :p], R[:, p:p + r], R[:, p + r:]
-    G = R2 @ (D.T @ problem.B)
-    M = R2 @ R3.T
-    core = R1 @ R1.T - G @ G.T + M + M.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = R2 @ (D.T @ problem.B)
+        M = R2 @ R3.T
+        core = R1 @ R1.T - G @ G.T + M + M.T
+    if not np.all(np.isfinite(core)):
+        return np.inf
     return relative_residual(spectral_norm_sym(core), qnorm)
 
 
@@ -269,7 +268,7 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
     Returns
     -------
     (LowRankSymmetric, SolveReport)
-        The factored solution X = F F' (S is the identity) and the run
+        The Cholesky factor F of the solution X = F F' and the run
         bookkeeping.
 
     Raises
@@ -278,9 +277,9 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         if A - alpha I is singular (for the default shift: if no rung of
         the search is usable).
     BreakdownError
-        if a step's cross-Gram matrix D'P turns non-finite or one of its
-        two Cholesky factorizations fails mid-run; the exception carries
-        the partial report in .report.
+        if a step's cross-Gram matrix D'P turns non-finite, one of its
+        two Cholesky factorizations fails or a residual overflows
+        mid-run; the exception carries the partial report in .report.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -305,4 +304,4 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         lambda s: residual_lowrank(problem, s.D, qn),
         lambda s: (s.rank_x, s.rank_y),
         tol, maxit, t0, a)
-    return LowRankSymmetric(state.D, np.eye(state.rank_x)), report
+    return LowRankSymmetric(state.D), report

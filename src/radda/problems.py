@@ -41,7 +41,8 @@ class ConditioningError(RuntimeError):
 
 
 class BreakdownError(RuntimeError):
-    """A doubling step could not factor the matrix its update inverts.
+    """A doubling step could not factor the matrix its update inverts, or
+    an iterate's residual is not finite.
 
     Carries the iteration index k; when raised out of a solve the partial
     report accumulated so far is attached as .report.
@@ -106,21 +107,11 @@ class CareProblem:
 
 @dataclass(frozen=True)
 class LowRankSymmetric:
-    """A symmetric matrix held as F S F' with tall F (n x r) and small
-    symmetric core S (r x r).  Reconstruction is opt-in and desk-scale."""
+    """A symmetric positive semidefinite matrix held as its Cholesky
+    factor: X = F F' with tall F (n x r).  Reconstruction is opt-in and
+    desk-scale."""
 
     F: np.ndarray
-    S: np.ndarray
-
-    def __post_init__(self):
-        r = self.F.shape[1]
-        if self.S.shape != (r, r):
-            raise ValueError(
-                f"core shape {self.S.shape} does not match {r} factor columns")
-        if r:
-            scale = max(1.0, float(np.abs(self.S).max()))
-            if not np.allclose(self.S, self.S.T, rtol=0.0, atol=1e-12 * scale):
-                raise ValueError("core matrix must be symmetric")
 
     @property
     def n(self) -> int:
@@ -130,10 +121,14 @@ class LowRankSymmetric:
     def rank(self) -> int:
         return self.F.shape[1]
 
+    @property
+    def S(self) -> np.ndarray:
+        """The r x r identity: X = F S F' for readers of the core form."""
+        return np.eye(self.rank)
+
     def reconstruct(self) -> np.ndarray:
-        """Form the full n x n matrix F S F'."""
-        M = self.F @ self.S @ self.F.T
-        return (M + M.T) / 2.0
+        """Form the full n x n matrix F F'."""
+        return self.F @ self.F.T
 
 
 @dataclass
@@ -173,13 +168,17 @@ def drive(iterates, residual, ranks, tol: float, maxit: int, t0: float,
     ranks(state), a pair of factor ranks, is evaluated outside the timed
     sections, and alpha is the shift recorded in the report.  A
     BreakdownError out of a step leaves with the partial report attached
-    and termination "breakdown".
+    and termination "breakdown", and so does a residual that is not
+    finite, before its iterate enters the report.
     """
     report = SolveReport(alpha=alpha, termination="max-iterations")
     start = t0
     try:
         for k, state in enumerate(islice(iterates, maxit + 1)):
             res = residual(state)
+            if not np.isfinite(res):
+                raise BreakdownError(
+                    f"the residual is not finite at iteration {k}", k=k)
             report.residual_history.append((k, res))
             report.wall_times.append(perf_counter() - start)
             report.rank_history.append((k, *ranks(state)))

@@ -6,8 +6,8 @@ stored as (offset, band) pairs ("banded") while its d distinct diagonals
 hold no more than 2 nnz entries (d n <= 2 nnz), and otherwise as the
 data, indices and indptr arrays of its canonical CSR form ("csr"), so a
 file stays O(nnz + n); dense A as nested row lists.  B is stored flat in
-column-major order, C flat in row-major order.  A solution's identity
-core, which radda_solve always returns, is stored as its kind alone.
+column-major order, C flat in row-major order.  A solution is stored as
+its Cholesky factor beside the identity core, {"kind": "identity"}.
 """
 
 from __future__ import annotations
@@ -121,26 +121,26 @@ def load_problem(path) -> CareProblem:
 
 def solution_to_dict(x: LowRankSymmetric) -> dict:
     """Factored solution as {factor, core}; the represented matrix is
-    factor @ core @ factor.T.  An identity core is written as
-    {"kind": "identity"}, any other core as a dense matrix."""
-    identity = np.array_equal(x.S, np.eye(x.rank))
+    factor @ core @ factor.T, and the core is always the identity."""
     return {
         "n": x.n,
         "rank": x.rank,
         "factor": _matrix_to_dict(x.F),
-        "core": {"kind": "identity"} if identity else _matrix_to_dict(x.S),
+        "core": {"kind": "identity"},
         "reconstruct": "X = factor @ core @ factor.T",
     }
 
 
 def solution_from_dict(doc: dict) -> LowRankSymmetric:
+    """Inverse of solution_to_dict; a non-identity core is a ValueError."""
     n, r = int(doc["n"]), int(doc["rank"])
     F = np.asarray(doc["factor"]["entries"], dtype=float).reshape((n, r))
     core = doc["core"]
-    if core.get("kind") == "identity":
-        return LowRankSymmetric(F, np.eye(r))
-    S = np.asarray(core["entries"], dtype=float).reshape((r, r))
-    return LowRankSymmetric(F, S)
+    if core.get("kind") != "identity" and not (
+            core.get("kind") == "dense"
+            and np.array_equal(core["entries"], np.eye(r))):
+        raise ValueError("a solution core must be the identity")
+    return LowRankSymmetric(F)
 
 
 def save_solution(path, x: LowRankSymmetric) -> None:

@@ -45,6 +45,14 @@ def unstable_problem(n=64):
     return CareProblem((p.A + 13.0 * sp.identity(n)).tocsr(), p.B, p.C)
 
 
+def uncontrollable_problem():
+    """A = diag(-1, 2, -3) with B = [1, 0, 1]': the +2 mode cannot be
+    controlled, so there is no stabilizing solution, and the doubling
+    iterates grow until their residual overflows."""
+    return CareProblem(np.diag([-1.0, 2.0, -3.0]),
+                       np.array([[1.0], [0.0], [1.0]]), np.ones((1, 3)))
+
+
 def scalar_problem(a=-1.0, b=1.0, c=1.0):
     return CareProblem(np.array([[a]]), np.array([[b]]), np.array([[c]]))
 

@@ -19,7 +19,7 @@ import pytest
 import scipy.sparse as sp
 
 import radda
-from conftest import unstable_problem
+from conftest import uncontrollable_problem, unstable_problem
 from radda import SingularUpdateError, cli
 from radda.cli import (COMPARE_HEADER, EXIT_BREAKDOWN, EXIT_EQUIVALENCE,
                        EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, RUN_HEADER,
@@ -160,6 +160,23 @@ class TestRun:
             assert np.isfinite(float(res))
         # the failed step is the one after the last row
         assert f"at iteration {len(rows) - 1}" in err
+        assert "termination=breakdown" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_residual_is_exit_3(self, capsys, tmp_path):
+        # no stabilizing solution: the iterates grow until the residual
+        # overflows, which is a breakdown and not a usage error
+        path = tmp_path / "uncontrollable.json"
+        save_problem(path, uncontrollable_problem())
+        code, out, err = run_main(capsys, ["run", "--problem", str(path)])
+        assert code == EXIT_BREAKDOWN
+        lines = out.splitlines()
+        assert lines[0] == RUN_HEADER
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) >= 2
+        assert [int(row[0]) for row in rows] == list(range(len(rows)))
+        assert all(np.isfinite(float(row[1])) for row in rows)
+        assert f"residual is not finite at iteration {len(rows)}" in err
         assert "termination=breakdown" in err
 
     def test_singular_shift_is_exit_3(self, capsys, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import random_stable_problem, scalar_problem, \
-    uneven_problem, unstable_problem
+    uncontrollable_problem, uneven_problem, unstable_problem
 from radda import (BreakdownError, CareProblem, RaddaState, adda_solve_dense,
                    adda_step_dense, apply_ahat, build_shifted,
                    care_oracle_small, choose_alpha, init_dense, init_lowrank,
@@ -402,6 +402,18 @@ class TestSolve:
         rep = err.value.report
         assert rep.termination == "breakdown"
         assert rep.iterations == err.value.k
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_residual_breaks_down(self):
+        # the iterates widen past n and grow until the residual's core
+        # overflows; the solve names that, with no overflow warning, and
+        # the report keeps the iterates before it
+        with pytest.raises(BreakdownError, match="residual") as err:
+            radda_solve(uncontrollable_problem())
+        rep = err.value.report
+        assert rep.termination == "breakdown"
+        assert rep.iterations == err.value.k - 1
+        assert all(np.isfinite(res) for _, res in rep.residual_history)
 
 
 class TestRandomSweep:
