@@ -1,6 +1,14 @@
 """Low-rank doubling solver for large-scale continuous-time algebraic
 Riccati equations, with a dense doubling iteration and a Hamiltonian
-eigen-oracle as verification baselines, plus a benchmark CLI."""
+eigen-oracle as verification baselines, plus a benchmark CLI.
+
+The package namespace holds what a caller needs to build or load a
+problem, solve it and check the result.  The engine internals stay in
+their own modules: the iterate, its step and the operator chain in
+radda.lowrank, the shifted base operator in radda.cayley, the dense
+iterate in radda.dense, the norms in radda.problems and the problem
+dicts in radda.serialize.
+"""
 
 from .problems import (
     BreakdownError,
@@ -13,52 +21,18 @@ from .problems import (
     SizeCapError,
     SolveReport,
     care_oracle_small,
-    dual_problem,
-    hamiltonian,
     make_example1,
     make_example2,
-    qnorm,
     residual_dense,
-    spectral_norm_sym,
 )
-from .cayley import (
-    BaseDoublingOperator,
-    ShiftSingularError,
-    build_shifted,
-    choose_alpha,
-)
-from .dense import (
-    AddaDenseState,
-    SingularUpdateError,
-    adda_solve_dense,
-    adda_step_dense,
-    init_dense,
-)
-from .lowrank import (
-    RaddaState,
-    apply_ahat,
-    init_lowrank,
-    radda_solve,
-    radda_step,
-    residual_lowrank,
-    truncate_factors,
-)
-from .serialize import (
-    load_problem,
-    load_solution,
-    problem_from_dict,
-    problem_to_dict,
-    save_problem,
-    save_solution,
-    solution_from_dict,
-    solution_to_dict,
-)
+from .cayley import ShiftSingularError, choose_alpha
+from .dense import SingularUpdateError, adda_solve_dense
+from .lowrank import radda_solve, residual_lowrank
+from .serialize import load_problem, save_problem
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AddaDenseState",
-    "BaseDoublingOperator",
     "BreakdownError",
     "CareProblem",
     "ConditioningError",
@@ -66,36 +40,18 @@ __all__ = [
     "LowRankSymmetric",
     "NoStabilizingSolutionError",
     "ORACLE_CAP",
-    "RaddaState",
     "ShiftSingularError",
     "SingularUpdateError",
     "SizeCapError",
     "SolveReport",
     "adda_solve_dense",
-    "adda_step_dense",
-    "apply_ahat",
-    "build_shifted",
     "care_oracle_small",
     "choose_alpha",
-    "dual_problem",
-    "hamiltonian",
-    "init_dense",
-    "init_lowrank",
     "load_problem",
-    "load_solution",
     "make_example1",
     "make_example2",
-    "problem_from_dict",
-    "problem_to_dict",
-    "qnorm",
     "radda_solve",
-    "radda_step",
     "residual_dense",
     "residual_lowrank",
     "save_problem",
-    "save_solution",
-    "solution_from_dict",
-    "solution_to_dict",
-    "spectral_norm_sym",
-    "truncate_factors",
 ]

@@ -41,10 +41,7 @@ def apply_ahat(base: BaseDoublingOperator, chain: tuple, Z: np.ndarray,
     the full width of Z, k = len(chain), which stays cheap for the small
     iteration counts the quadratic convergence produces.
     """
-    out = _apply_level(base, chain, len(chain), Z, transposed)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("operator apply produced non-finite values")
-    return out
+    return _apply_level(base, chain, len(chain), Z, transposed)
 
 
 def _apply_level(base: BaseDoublingOperator, chain: tuple, j: int,
@@ -132,7 +129,8 @@ def radda_step(state: RaddaState) -> RaddaState:
     the new columns times an m_k x p_k matrix, so it needs no apply of its
     own.  Both Gram matrices have every eigenvalue >= 1: a factorization
     fails only once W is so large that rounding swamps the identity, and
-    that, or a non-finite W or Gram matrix, raises BreakdownError.
+    that, a non-finite W or Gram matrix, or a non-finite operator apply
+    raises BreakdownError.
 
     On a doubled state, with prev = ahat_{k-1}, (U_k, V_k) the last
     correction, (M_x, M_y) = chol the last step's factors and F the block
@@ -158,19 +156,26 @@ def radda_step(state: RaddaState) -> RaddaState:
             k=k) from exc
 
     base, chain = state.base, state.chain
-    # N_x, N_y hold ahat'D, ahat P until scaled: one copy of each block
-    if state.chol is not None:
-        prev = chain[:-1]
-        U_k, V_k = chain[-1]
-        prev_x, prev_y = state.chol
-        N_x = _first_two_powers(base, prev, V_k, prev_x, transposed=True)
-        N_x += V_k @ (U_k.T @ D)
-        N_y = _first_two_powers(base, prev, P[:, m_k // 2:], prev_y,
-                                transposed=False)
-        N_y += U_k @ (V_k.T @ P)
-    else:
-        N_x = apply_ahat(base, chain, D, transposed=True)
-        N_y = apply_ahat(base, chain, P)
+    # N_x, N_y hold ahat'D, ahat P until scaled: one copy of each block.
+    # An overflowing apply is named below as a breakdown, so the inf it
+    # feeds to the rest of the chain raises no warning on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if state.chol is not None:
+            prev = chain[:-1]
+            U_k, V_k = chain[-1]
+            prev_x, prev_y = state.chol
+            N_x = _first_two_powers(base, prev, V_k, prev_x,
+                                    transposed=True)
+            N_x += V_k @ (U_k.T @ D)
+            N_y = _first_two_powers(base, prev, P[:, m_k // 2:], prev_y,
+                                    transposed=False)
+            N_y += U_k @ (V_k.T @ P)
+        else:
+            N_x = apply_ahat(base, chain, D, transposed=True)
+            N_y = apply_ahat(base, chain, P)
+    if not (np.all(np.isfinite(N_x)) and np.all(np.isfinite(N_y))):
+        raise BreakdownError(
+            f"an operator apply is non-finite at iteration {k}", k=k)
     N_x = _times_inv_lt(N_x, L_x)
     N_y = _times_inv_lt(N_y, L_y)
     small = sla.solve_triangular(L_y, W.T @ L_x, lower=True)
@@ -277,9 +282,10 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         if A - alpha I is singular (for the default shift: if no rung of
         the search is usable).
     BreakdownError
-        if a step's cross-Gram matrix D'P turns non-finite, one of its
-        two Cholesky factorizations fails or a residual overflows
-        mid-run; the exception carries the partial report in .report.
+        if a step's cross-Gram matrix D'P or an operator apply turns
+        non-finite, one of its two Cholesky factorizations fails or a
+        residual overflows mid-run; the exception carries the partial
+        report in .report.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")

@@ -6,8 +6,9 @@ Riccati equations in the low-rank-driver form
     A'X + XA - X G X + Q = 0,      Q = C'C,  G = BB',
 
 with n x n A (typically banded), tall-skinny B (n x m) and short-fat C
-(p x n), m, p << n.  The dual equation A Y + Y A' - Y Q Y + G = 0 is the
-same equation for the transposed data, see :func:`dual_problem`.
+(p x n), m, p << n.  The doubling iterations also carry Y, the solution
+of the dual equation A Y + Y A' - Y Q Y + G = 0, which is the same
+equation for the transposed data (A', C', B').
 """
 
 from __future__ import annotations
@@ -93,10 +94,6 @@ class CareProblem:
     @property
     def p(self) -> int:
         return self.C.shape[0]
-
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.A)
 
     def a_dense(self) -> np.ndarray:
         """A as a dense ndarray (desk-scale code paths only)."""
@@ -225,15 +222,6 @@ def make_example2(n: int) -> CareProblem:
     return CareProblem(A, B, C)
 
 
-def dual_problem(problem: CareProblem) -> CareProblem:
-    """The transposed-data problem whose stabilizing solution is the Y of
-    the dual equation A Y + Y A' - Y Q Y + G = 0."""
-    At = problem.A.T
-    if sp.issparse(At):
-        At = At.tocsr()
-    return CareProblem(At, problem.C.T.copy(), problem.B.T.copy())
-
-
 def spectral_norm_sym(M: np.ndarray) -> float:
     """2-norm of a symmetric matrix via its extreme eigenvalues."""
     M = np.asarray(M, dtype=float)
@@ -276,29 +264,14 @@ def relative_residual(num: float, den: float) -> float:
     return num / den
 
 
-def hamiltonian(problem: CareProblem) -> np.ndarray:
-    """The dense 2n x 2n block matrix [[A, -G], [-Q, -A']].
-
-    H J is symmetric (equivalently H J = -J H') for J = [[0, I], [-I, 0]];
-    the stable invariant subspace encodes the stabilizing solution
-    (see care_oracle_small).
-    """
-    if problem.n > DENSE_CAP:
-        raise SizeCapError(
-            f"n={problem.n} exceeds the dense cap {DENSE_CAP}")
-    A = problem.a_dense()
-    G = problem.B @ problem.B.T
-    Q = problem.C.T @ problem.C
-    return np.block([[A, -G], [-Q, -A.T]])
-
-
 def care_oracle_small(problem: CareProblem) -> np.ndarray:
     """Ground-truth stabilizing solution via the Hamiltonian eigenproblem.
 
-    Eigen-decomposes the 2n x 2n block matrix, keeps the n eigenvectors
-    with Re(lambda) < 0, stacks them as [X1; X2], and returns the
-    symmetrized real part of X2 X1^{-1}.  Deliberately independent of the
-    doubling iterations so it can arbitrate between them.
+    Eigen-decomposes the 2n x 2n Hamiltonian [[A, -G], [-Q, -A']], keeps
+    the n eigenvectors with Re(lambda) < 0, stacks them as [X1; X2], and
+    returns the symmetrized real part of X2 X1^{-1}.  Deliberately
+    independent of the doubling iterations so it can arbitrate between
+    them.
 
     Raises
     ------
@@ -313,7 +286,10 @@ def care_oracle_small(problem: CareProblem) -> np.ndarray:
     n = problem.n
     if n > ORACLE_CAP:
         raise SizeCapError(f"n={n} exceeds the oracle cap {ORACLE_CAP}")
-    H = hamiltonian(problem)
+    A = problem.a_dense()
+    G = problem.B @ problem.B.T
+    Q = problem.C.T @ problem.C
+    H = np.block([[A, -G], [-Q, -A.T]])
     lam, V = np.linalg.eig(H)
     stable = lam.real < 0.0
     k = int(stable.sum())

@@ -1,4 +1,4 @@
-"""JSON round-trip for problems and factored solutions.
+"""JSON round-trip for problems.
 
 Floats go through Python's repr, the shortest decimal that reproduces the
 binary64 value exactly, so save -> load is bit-faithful.  Sparse A is
@@ -6,8 +6,7 @@ stored as (offset, band) pairs ("banded") while its d distinct diagonals
 hold no more than 2 nnz entries (d n <= 2 nnz), and otherwise as the
 data, indices and indptr arrays of its canonical CSR form ("csr"), so a
 file stays O(nnz + n); dense A as nested row lists.  B is stored flat in
-column-major order, C flat in row-major order.  A solution is stored as
-its Cholesky factor beside the identity core, {"kind": "identity"}.
+column-major order, C flat in row-major order.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import json
 import numpy as np
 import scipy.sparse as sp
 
-from .problems import CareProblem, LowRankSymmetric
+from .problems import CareProblem
 
 
 def _matrix_to_dict(M) -> dict:
@@ -95,8 +94,9 @@ def problem_to_dict(problem: CareProblem) -> dict:
 def problem_from_dict(doc: dict) -> CareProblem:
     """Inverse of problem_to_dict, with shape validation."""
     n, m, p = int(doc["n"]), int(doc["m"]), int(doc["p"])
-    if n < 1 or m < 1 or p < 1:
-        raise ValueError(f"sizes must be positive, got n={n} m={m} p={p}")
+    if n < 1 or m < 0 or p < 0:
+        raise ValueError(f"n must be positive and m, p non-negative, "
+                         f"got n={n} m={m} p={p}")
     A = _matrix_from_dict(doc["A"], n)
     B = np.asarray(doc["B"], dtype=float)
     C = np.asarray(doc["C"], dtype=float)
@@ -118,37 +118,3 @@ def load_problem(path) -> CareProblem:
     with open(path) as fh:
         return problem_from_dict(json.load(fh))
 
-
-def solution_to_dict(x: LowRankSymmetric) -> dict:
-    """Factored solution as {factor, core}; the represented matrix is
-    factor @ core @ factor.T, and the core is always the identity."""
-    return {
-        "n": x.n,
-        "rank": x.rank,
-        "factor": _matrix_to_dict(x.F),
-        "core": {"kind": "identity"},
-        "reconstruct": "X = factor @ core @ factor.T",
-    }
-
-
-def solution_from_dict(doc: dict) -> LowRankSymmetric:
-    """Inverse of solution_to_dict; a non-identity core is a ValueError."""
-    n, r = int(doc["n"]), int(doc["rank"])
-    F = np.asarray(doc["factor"]["entries"], dtype=float).reshape((n, r))
-    core = doc["core"]
-    if core.get("kind") != "identity" and not (
-            core.get("kind") == "dense"
-            and np.array_equal(core["entries"], np.eye(r))):
-        raise ValueError("a solution core must be the identity")
-    return LowRankSymmetric(F)
-
-
-def save_solution(path, x: LowRankSymmetric) -> None:
-    with open(path, "w") as fh:
-        json.dump(solution_to_dict(x), fh)
-        fh.write("\n")
-
-
-def load_solution(path) -> LowRankSymmetric:
-    with open(path) as fh:
-        return solution_from_dict(json.load(fh))

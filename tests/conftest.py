@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from radda import CareProblem, make_example1
+from radda.cayley import BaseDoublingOperator
 
 #: one "PASS criterion N: ..." / "FAIL criterion N: ..." line per
 #: acceptance check, echoed after the run summary where output capture
@@ -51,6 +53,22 @@ def uncontrollable_problem():
     iterates grow until their residual overflows."""
     return CareProblem(np.diag([-1.0, 2.0, -3.0]),
                        np.array([[1.0], [0.0], [1.0]]), np.ones((1, 3)))
+
+
+@pytest.fixture
+def overflowing_apply(monkeypatch):
+    """Make BaseDoublingOperator.apply return inf from its second call on,
+    so a solve at a given shift meets a non-finite operator apply in its
+    second step."""
+    original = BaseDoublingOperator.apply
+    calls = []
+
+    def apply(self, Z):
+        calls.append(None)
+        out = original(self, Z)
+        return out if len(calls) == 1 else np.full_like(out, np.inf)
+
+    monkeypatch.setattr(BaseDoublingOperator, "apply", apply)
 
 
 def scalar_problem(a=-1.0, b=1.0, c=1.0):

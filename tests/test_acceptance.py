@@ -19,11 +19,14 @@ import numpy as np
 
 import conftest
 from conftest import random_stable_problem, scalar_problem
-from radda import (adda_step_dense, adda_solve_dense, build_shifted,
-                   care_oracle_small, choose_alpha, dual_problem, init_dense,
-                   init_lowrank, make_example1, make_example2, qnorm,
-                   radda_solve, radda_step, residual_dense, residual_lowrank)
-from verification import (build_verification_context,
+from radda import (adda_solve_dense, care_oracle_small, choose_alpha,
+                   make_example1, make_example2, radda_solve, residual_dense,
+                   residual_lowrank)
+from radda.cayley import build_shifted
+from radda.dense import adda_step_dense, init_dense
+from radda.lowrank import init_lowrank, radda_step
+from radda.problems import qnorm
+from verification import (build_verification_context, dual_problem,
                           verify_doubling_identities, verify_symplectic_pencil)
 
 SQRT2 = np.sqrt(2.0)

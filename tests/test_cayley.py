@@ -10,9 +10,10 @@ import scipy.sparse as sp
 from conftest import (convection_diffusion_problem, random_stable_problem,
                       scalar_problem, uneven_problem)
 from radda import (CareProblem, ShiftSingularError, SizeCapError,
-                   build_shifted, choose_alpha, init_dense, init_lowrank,
-                   make_example1, make_example2, radda_solve)
-from radda.cayley import MAX_RUNGS, RATE_APPLIES, _norm_shift
+                   choose_alpha, make_example1, make_example2, radda_solve)
+from radda.cayley import MAX_RUNGS, RATE_APPLIES, _norm_shift, build_shifted
+from radda.dense import init_dense
+from radda.lowrank import init_lowrank
 
 
 def coupled_problem():

@@ -179,6 +179,26 @@ class TestRun:
         assert f"residual is not finite at iteration {len(rows)}" in err
         assert "termination=breakdown" in err
 
+    @pytest.mark.usefixtures("overflowing_apply")
+    def test_non_finite_apply_is_exit_3(self, capsys):
+        code, out, err = run_main(
+            capsys, ["run", "--example", "1", "--n", "64", "--alpha", "17"])
+        assert code == EXIT_BREAKDOWN
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == [0, 1]
+        assert "operator apply is non-finite at iteration 1" in err
+        assert "termination=breakdown" in err
+
+    def test_problem_file_without_inputs(self, capsys, tmp_path):
+        # B = n x 0 leaves a Lyapunov equation, which the solver accepts,
+        # so its problem file must load and solve
+        path = tmp_path / "lyapunov.json"
+        p = make_example1(32)
+        save_problem(path, CareProblem(p.A, np.zeros((32, 0)), p.C))
+        code, _, err = run_main(capsys, ["run", "--problem", str(path)])
+        assert code == EXIT_OK
+        assert "termination=converged" in err
+
     def test_singular_shift_is_exit_3(self, capsys, tmp_path):
         # alpha = 1 is an eigenvalue of A = I, so the shifted
         # factorisation is singular

@@ -5,10 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_stable_problem, scalar_problem
-from radda import (AddaDenseState, CareProblem, ShiftSingularError,
-                   SingularUpdateError, SizeCapError, adda_solve_dense,
-                   adda_step_dense, care_oracle_small, choose_alpha,
-                   init_dense, make_example1, make_example2)
+from radda import (CareProblem, ShiftSingularError, SingularUpdateError,
+                   SizeCapError, adda_solve_dense, care_oracle_small,
+                   choose_alpha, make_example1, make_example2)
+from radda.dense import AddaDenseState, adda_step_dense, init_dense
 from verification import (build_verification_context,
                           verify_doubling_identities, verify_symplectic_pencil)
 

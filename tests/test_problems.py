@@ -7,9 +7,10 @@ import scipy.sparse as sp
 
 from conftest import random_stable_problem, scalar_problem
 from radda import (CareProblem, LowRankSymmetric, NoStabilizingSolutionError,
-                   SizeCapError, care_oracle_small, dual_problem, hamiltonian,
-                   make_example1, make_example2, qnorm, residual_dense,
-                   spectral_norm_sym)
+                   SizeCapError, care_oracle_small, make_example1,
+                   make_example2, residual_dense)
+from radda.problems import qnorm, spectral_norm_sym
+from verification import dual_problem
 
 SQRT2 = np.sqrt(2.0)
 
@@ -34,7 +35,7 @@ class TestGenerators:
 
     def test_example1_inputs(self):
         p = make_example1(10)
-        assert p.is_sparse and isinstance(p.A, sp.csr_matrix)
+        assert isinstance(p.A, sp.csr_matrix)
         np.testing.assert_array_equal(p.B, np.full((10, 1), 0.02))
         np.testing.assert_array_equal(p.C, np.full((1, 10), 0.01))
         assert (p.n, p.m, p.p) == (10, 1, 1)
@@ -171,25 +172,6 @@ class TestResidualDense:
             r = residual_dense(p, np.zeros((3, 3)))
         # residual matrix is G-free at X = 0 and Q = 0, so exactly zero
         assert r == 0.0
-
-
-class TestHamiltonian:
-    def test_scalar_blocks(self):
-        H = hamiltonian(scalar_problem())
-        np.testing.assert_allclose(H, [[-1.0, -1.0], [-1.0, 1.0]])
-
-    def test_structure_identity(self):
-        # H J = [[G, A], [A', -Q]] is symmetric (equivalently H J = -J H').
-        p = random_stable_problem(np.random.default_rng(2), 8, mp=2)
-        H = hamiltonian(p)
-        n = p.n
-        J = np.block([[np.zeros((n, n)), np.eye(n)],
-                      [-np.eye(n), np.zeros((n, n))]])
-        np.testing.assert_allclose(H @ J, (H @ J).T, atol=1e-14)
-
-    def test_cap(self):
-        with pytest.raises(SizeCapError):
-            hamiltonian(make_example1(600))
 
 
 class TestOracle:

@@ -7,10 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_stable_problem
-from radda import CareProblem, LowRankSymmetric, make_example2
-from radda.serialize import (load_problem, load_solution, problem_from_dict,
-                             problem_to_dict, save_problem, save_solution,
-                             solution_from_dict, solution_to_dict)
+from radda import CareProblem, make_example2
+from radda.serialize import (load_problem, problem_from_dict, problem_to_dict,
+                             save_problem)
 
 
 def awkward_problem():
@@ -26,7 +25,7 @@ def awkward_problem():
 
 def assert_problems_equal(a, b):
     assert (a.n, a.m, a.p) == (b.n, b.m, b.p)
-    assert a.is_sparse == b.is_sparse
+    assert sp.issparse(a.A) == sp.issparse(b.A)
     np.testing.assert_array_equal(a.a_dense(), b.a_dense())
     np.testing.assert_array_equal(a.B, b.B)
     np.testing.assert_array_equal(a.C, b.C)
@@ -67,6 +66,7 @@ def test_b_and_c_orientation_survives():
 
 @pytest.mark.parametrize("mutate, message", [
     (lambda d: d.update(n=0), "positive"),
+    (lambda d: d.update(m=-1), "non-negative"),
     (lambda d: d["A"].update(kind="mystery"), "kind"),
     (lambda d: d.update(B=[1.0, 2.0]), "entries"),
     (lambda d: d["A"]["bands"].__setitem__(0, [1.0]), "band"),
@@ -85,44 +85,15 @@ def test_band_offset_out_of_range_rejected():
         problem_from_dict(doc)
 
 
-def test_solution_round_trip(tmp_path):
-    F = np.random.default_rng(21).standard_normal((8, 3))
-    x = LowRankSymmetric(F)
-    path = tmp_path / "solution.json"
-    save_solution(path, x)
-    y = load_solution(path)
-    np.testing.assert_array_equal(x.F, y.F)
-    doc = solution_to_dict(x)
-    assert doc["rank"] == 3
-    z = solution_from_dict(json.loads(json.dumps(doc)))
-    np.testing.assert_array_equal(x.F, z.F)
-
-
-@pytest.mark.parametrize("identity", [True, False])
-def test_solution_core_round_trip(identity):
-    # the identity core is written by its kind alone; a file holding any
-    # other core cannot be a Cholesky factor's and is refused
-    F = np.random.default_rng(22).standard_normal((6, 4))
-    doc = json.loads(json.dumps(solution_to_dict(LowRankSymmetric(F))))
-    assert doc["core"] == {"kind": "identity"}
-    if identity:
-        np.testing.assert_array_equal(solution_from_dict(doc).F, F)
-    else:
-        doc["core"] = {"kind": "dense",
-                       "entries": np.diag([1.0, 2.0, 3.0, 4.0]).tolist()}
-        with pytest.raises(ValueError, match="identity"):
-            solution_from_dict(doc)
-
-
-def test_dense_identity_core_still_loads():
-    # files written before identity cores had their own kind
-    F = np.arange(6.0).reshape(3, 2)
-    doc = {"n": 3, "rank": 2,
-           "factor": {"kind": "dense", "entries": F.tolist()},
-           "core": {"kind": "dense", "entries": np.eye(2).tolist()}}
-    y = solution_from_dict(doc)
-    np.testing.assert_array_equal(y.F, F)
-    np.testing.assert_array_equal(y.S, np.eye(2))
+@pytest.mark.parametrize("m, p", [(0, 1), (1, 0), (0, 0)])
+def test_empty_b_or_c_round_trips(tmp_path, m, p):
+    # the solver accepts m = 0 (a Lyapunov equation) and p = 0, so a file
+    # holding either must load again
+    base = make_example2(7)
+    prob = CareProblem(base.A, base.B[:, :m], base.C[:p])
+    path = tmp_path / "problem.json"
+    save_problem(path, prob)
+    assert_problems_equal(prob, load_problem(path))
 
 
 def test_random_problem_round_trip_sweep():

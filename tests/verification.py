@@ -2,14 +2,17 @@
 
 Test-only: the acceptance gate (criteria 5 and 7) and tests/test_dense.py
 check iterates against the stabilizing solutions from the eigen-oracle and
-against the symplectic pencil structure.
+against the symplectic pencil structure.  dual_problem gives the oracle
+the dual equation, whose solution the iterates Y_k approach.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from radda import AddaDenseState, CareProblem, care_oracle_small, dual_problem
+from radda import CareProblem, care_oracle_small
+from radda.dense import AddaDenseState
 
 
 @dataclass(frozen=True)
@@ -24,6 +27,15 @@ class VerificationContext:
     S: np.ndarray
     CR: np.ndarray
     CS: np.ndarray
+
+
+def dual_problem(problem: CareProblem) -> CareProblem:
+    """The transposed-data problem whose stabilizing solution is the Y of
+    the dual equation A Y + Y A' - Y Q Y + G = 0."""
+    At = problem.A.T
+    if sp.issparse(At):
+        At = At.tocsr()
+    return CareProblem(At, problem.C.T.copy(), problem.B.T.copy())
 
 
 def _cayley(M: np.ndarray, alpha: float) -> np.ndarray:
