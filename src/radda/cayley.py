@@ -1,5 +1,5 @@
-"""Shift selection for both doubling iterations, and the k = 0 operator of
-the low-rank one.
+"""Shift selection for both doubling iterations, and the k = 0 operator
+that both start from.
 
 Everything revolves around A_a = A - a I for a positive shift a: one LU of
 A_a is reused for every block solve with A_a and A_a', and the inverses of
@@ -206,23 +206,19 @@ def _doubling_rate(problem: CareProblem, alpha: float) -> float:
     return rate
 
 
-def check_shift(alpha: float) -> None:
-    """Raise ValueError unless alpha is a positive, finite shift."""
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        raise ValueError(f"shift must be positive and finite, got {alpha}")
-
-
 def build_shifted(problem: CareProblem, alpha: float) -> BaseDoublingOperator:
-    """The k = 0 doubling operator at shift alpha.
+    """The k = 0 doubling operator at shift alpha, where both engines start.
 
     Factors A - alpha I once, one factorization serving both orientations
     (a band LU for narrow-band sparse A, SuperLU for other sparse A and an
     LAPACK LU for dense A; see _factor), then solves for the starting
     iterates' Cholesky factors D and P and the operator's two couplings.
-    An exactly singular shifted matrix raises ShiftSingularError; a bad
-    shift, or shifted solves that come out non-finite, raise ValueError.
+    A shift that is not positive and finite raises ValueError; a shifted
+    matrix that is exactly singular, or whose start comes out non-finite
+    or not positive definite, raises ShiftSingularError.
     """
-    check_shift(alpha)
+    if not np.isfinite(alpha) or alpha <= 0.0:
+        raise ValueError(f"shift must be positive and finite, got {alpha}")
     return BaseDoublingOperator(problem, alpha, _factor(problem, alpha))
 
 
@@ -347,13 +343,19 @@ class BaseDoublingOperator:
     def __init__(self, problem: CareProblem, alpha: float, solve):
         D0 = solve(problem.C.T, transposed=True)
         P0 = solve(problem.B)
-        if not (np.all(np.isfinite(D0)) and np.all(np.isfinite(P0))):
-            raise ValueError("shifted solves produced non-finite values; "
-                             "the shift is numerically unusable")
-        W0 = D0.T @ problem.B
-        # an overflowed W0 W0' is non-finite and raises ValueError here
-        L = sla.cholesky(np.eye(problem.p) + W0 @ W0.T, lower=True)
-        M = sla.cholesky(np.eye(problem.m) + W0.T @ W0, lower=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            W0 = D0.T @ problem.B
+            gram_d = np.eye(problem.p) + W0 @ W0.T
+            gram_p = np.eye(problem.m) + W0.T @ W0
+        unusable = ShiftSingularError(
+            f"shift {alpha} gives a non-finite or indefinite start")
+        if not all(np.all(np.isfinite(Z)) for Z in (D0, P0, gram_d, gram_p)):
+            raise unusable
+        try:
+            L = sla.cholesky(gram_d, lower=True)
+            M = sla.cholesky(gram_p, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise unusable from exc
         scale = np.sqrt(2.0 * alpha)
         self.alpha = float(alpha)
         self.D = scale * _times_inv_lt(D0, L)

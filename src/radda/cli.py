@@ -150,7 +150,7 @@ def cmd_compare(args) -> int:
     try:
         op = build_shifted(problem, alpha)
         pairs = zip(iterate(init_lowrank(op), radda_step),
-                    iterate(init_dense(problem, alpha), adda_step_dense))
+                    iterate(init_dense(op), adda_step_dense))
         _, report = drive(pairs, residuals,
                           lambda pair: (pair[0].rank_x, pair[0].rank_y),
                           args.tol, args.maxit, perf_counter(), alpha)

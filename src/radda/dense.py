@@ -1,6 +1,8 @@
 """Dense reference implementation of the doubling iteration.
 
-Everything here is desk-scale (n capped) on purpose: it exists to arbitrate,
+It starts from the k = 0 operator of the low-rank engine (build_shifted),
+expanded to n x n, and doubles the dense iterates from there.  Everything
+here is desk-scale (n capped) on purpose: it exists to arbitrate,
 not to compete.
 """
 
@@ -13,7 +15,7 @@ from time import perf_counter
 import numpy as np
 import scipy.linalg as sla
 
-from .cayley import ShiftSingularError, check_shift, choose_alpha
+from .cayley import BaseDoublingOperator, build_shifted, choose_alpha
 from .problems import (BreakdownError, CareProblem, DENSE_CAP, SizeCapError,
                        drive, iterate, residual_dense)
 
@@ -47,40 +49,18 @@ class AddaDenseState:
     Y: np.ndarray
 
 
-def init_dense(problem: CareProblem, alpha: float) -> AddaDenseState:
-    """Dense starting iterate (Ahat0, X0, Y0) of the reference iteration
-    at shift a = alpha:
-
-        Ahat0 = I + 2a V_a^{-1},
-        X0    = 2a U_a^{-1} Q A_a^{-1},
-        Y0    = 2a A_a^{-1} G U_a^{-1},
-
-    with X0, Y0 symmetrized.  The only factorization is the dense inverse
-    of A_a = A - a I; it shares nothing with the low-rank operator.  A
-    non-positive or non-finite shift raises ValueError, an exactly
-    singular A_a ShiftSingularError.  Desk-scale only (n <= DENSE_CAP).
+def init_dense(op: BaseDoublingOperator) -> AddaDenseState:
+    """The dense k = 0 iterate on the base operator op (build_shifted):
+    ahat0 = I + 2a V_a^{-1} is op applied to the identity, and
+    X0 = D D', Y0 = P P' are expanded from op's Cholesky factors, so the
+    dense and low-rank engines start from one factorization of A - a I.
+    Desk-scale only (n <= DENSE_CAP).
     """
-    check_shift(alpha)
-    n = problem.n
+    n = op.D.shape[0]
     if n > DENSE_CAP:
         raise SizeCapError(f"n={n} exceeds the dense cap {DENSE_CAP}")
-    A = problem.a_dense()
-    G = problem.B @ problem.B.T
-    Q = problem.C.T @ problem.C
-    Aa = A - alpha * np.eye(n)
-    try:
-        Aa_inv = np.linalg.inv(Aa)
-    except np.linalg.LinAlgError as exc:
-        raise ShiftSingularError(
-            f"A - {alpha} I is singular; pick a different shift") from exc
-    Ua = Aa.T + Q @ Aa_inv @ G
-    Va = Aa + G @ Aa_inv.T @ Q
-    Ahat0 = np.eye(n) + 2.0 * alpha * np.linalg.inv(Va)
-    X0 = 2.0 * alpha * np.linalg.solve(Ua, Q @ Aa_inv)
-    Y0 = 2.0 * alpha * (Aa_inv @ np.linalg.solve(Ua.T, G).T)
-    X0 = (X0 + X0.T) / 2.0
-    Y0 = (Y0 + Y0.T) / 2.0
-    return AddaDenseState(k=0, ahat=Ahat0, X=X0, Y=Y0)
+    return AddaDenseState(k=0, ahat=op.apply(np.eye(n)), X=op.D @ op.D.T,
+                          Y=op.P @ op.P.T)
 
 
 def adda_step_dense(state: AddaDenseState) -> AddaDenseState:
@@ -91,16 +71,23 @@ def adda_step_dense(state: AddaDenseState) -> AddaDenseState:
         Y_{k+1}    = Y + ahat Y (I + X Y)^{-1} ahat'
 
     One LU of K = I + Y X serves all three solves, because
-    (I + X Y)' = K when X and Y are symmetric.
+    (I + X Y)' = K when X and Y are symmetric.  An iterate that overflows
+    raises BreakdownError.
     """
     ahat, X, Y = state.ahat, state.X, state.Y
-    n = ahat.shape[0]
-    lu, piv = _lu_small(np.eye(n) + Y @ X, state.k)
-    ahat_next = ahat @ sla.lu_solve((lu, piv), ahat)
-    X_next = X + ahat.T @ sla.lu_solve((lu, piv), X @ ahat, trans=1)
-    Y_next = Y + ahat @ (Y @ sla.lu_solve((lu, piv), ahat.T, trans=1))
-    X_next = (X_next + X_next.T) / 2.0
-    Y_next = (Y_next + Y_next.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        lu_piv = _lu_small(np.eye(len(ahat)) + Y @ X, state.k)
+        ahat_next = ahat @ sla.lu_solve(lu_piv, ahat, check_finite=False)
+        X_next = X + ahat.T @ sla.lu_solve(lu_piv, X @ ahat, trans=1,
+                                           check_finite=False)
+        Y_next = Y + ahat @ (Y @ sla.lu_solve(lu_piv, ahat.T, trans=1,
+                                              check_finite=False))
+        X_next = (X_next + X_next.T) / 2.0
+        Y_next = (Y_next + Y_next.T) / 2.0
+    if not all(np.all(np.isfinite(Z)) for Z in (ahat_next, X_next, Y_next)):
+        raise BreakdownError(
+            f"the dense iterate is not finite after iteration {state.k}",
+            k=state.k)
     return AddaDenseState(k=state.k + 1, ahat=ahat_next, X=X_next, Y=Y_next)
 
 
@@ -111,7 +98,7 @@ def adda_solve_dense(problem: CareProblem, *, alpha: float | None = None,
     Shares the low-rank driver's default shift (choose_alpha), loop,
     stopping rule (relative residual <= tol) and report layout, so the
     two modes can be compared row by row.  The rank columns of the report
-    carry the numerical ranks of the dense iterates.  A SingularUpdateError
+    carry the numerical ranks of the dense iterates.  A BreakdownError
     carries the partial report in .report.
     """
     if problem.n > DENSE_CAP:
@@ -121,7 +108,7 @@ def adda_solve_dense(problem: CareProblem, *, alpha: float | None = None,
         raise ValueError("tol must be positive and maxit at least 1")
     t0 = perf_counter()
     a = choose_alpha(problem) if alpha is None else float(alpha)
-    state = init_dense(problem, a)
+    state = init_dense(build_shifted(problem, a))
     state, report = drive(
         iterate(state, adda_step_dense),
         lambda s: residual_dense(problem, s.X),

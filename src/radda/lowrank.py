@@ -279,8 +279,8 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
     Raises
     ------
     ShiftSingularError
-        if A - alpha I is singular (for the default shift: if no rung of
-        the search is usable).
+        if A - alpha I is singular or gives a start that is not finite
+        (for the default shift: if no rung of the search is usable).
     BreakdownError
         if a step's cross-Gram matrix D'P or an operator apply turns
         non-finite, one of its two Cholesky factorizations fails or a

@@ -55,6 +55,22 @@ def uncontrollable_problem():
                        np.array([[1.0], [0.0], [1.0]]), np.ones((1, 3)))
 
 
+def no_stabilizing_problem():
+    """A = diag(1, -1, -2) with B = 0: nothing can move the +1 mode, so
+    there is no stabilizing solution, and the iterates of both engines
+    grow until they overflow after k = 8."""
+    return CareProblem(np.diag([1.0, -1.0, -2.0]), np.zeros((3, 1)),
+                       np.ones((1, 3)))
+
+
+def tiny_norm_problem(scale, p=1):
+    """A = -scale I (n = 3), B = ones, C = ones (p x 3): a scaled copy of a
+    well-posed problem.  At a shift near scale the start's Gram matrices
+    overflow (scale = 1e-300) or, with p = 2, round to a singular one
+    (scale = 1e-100)."""
+    return CareProblem(-scale * np.eye(3), np.ones((3, 1)), np.ones((p, 3)))
+
+
 @pytest.fixture
 def overflowing_apply(monkeypatch):
     """Make BaseDoublingOperator.apply return inf from its second call on,

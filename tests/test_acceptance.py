@@ -63,7 +63,7 @@ def lowrank_state(problem, alpha):
 
 
 def dense_state(problem, alpha):
-    return init_dense(problem, alpha)
+    return init_dense(build_shifted(problem, alpha))
 
 
 def reconstruct(F):

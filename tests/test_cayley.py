@@ -8,12 +8,13 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import (convection_diffusion_problem, random_stable_problem,
-                      scalar_problem, uneven_problem)
+                      scalar_problem, tiny_norm_problem, uneven_problem)
 from radda import (CareProblem, ShiftSingularError, SizeCapError,
                    choose_alpha, make_example1, make_example2, radda_solve)
 from radda.cayley import MAX_RUNGS, RATE_APPLIES, _norm_shift, build_shifted
 from radda.dense import init_dense
 from radda.lowrank import init_lowrank
+from verification import reference_start
 
 
 def coupled_problem():
@@ -189,7 +190,7 @@ class TestBuildShifted:
             p = CareProblem(p.a_dense(), p.B, p.C)
         alpha = 3.5
         op = build_shifted(p, alpha)
-        dense = init_dense(p, alpha)
+        dense = reference_start(p, alpha)
         assert op.alpha == alpha
         assert op.D.shape == (10, p.p) and op.P.shape == (10, p.m)
         np.testing.assert_allclose(op.D @ op.D.T, dense.X, rtol=0.0,
@@ -212,6 +213,19 @@ class TestBuildShifted:
     def test_bad_shift_rejected(self, alpha):
         with pytest.raises(ValueError):
             build_shifted(make_example1(4), alpha)
+
+    @pytest.mark.parametrize("scale, p", [(1e-300, 1), (1e-100, 2)])
+    def test_unusable_start_is_shift_singular(self, scale, p):
+        # 1e-300: W0 W0' overflows; 1e-100: I + W0 W0' rounds to a
+        # singular 2 x 2, so its Cholesky factorization fails
+        problem = tiny_norm_problem(scale, p)
+        with pytest.raises(ShiftSingularError, match="indefinite start"):
+            build_shifted(problem, scale)
+
+    def test_no_usable_rung_is_shift_singular(self):
+        # every rung's start overflows at A = -1e-300 I
+        with pytest.raises(ShiftSingularError, match="no shift"):
+            choose_alpha(tiny_norm_problem(1e-300))
 
 
 def pivoting_problem(n=40):
@@ -337,7 +351,7 @@ class TestInitLowRank:
     def test_reconstruction_matches_dense_init(self):
         p = make_example1(16)
         init = init_lowrank(build_shifted(p, 17.0))
-        dense = init_dense(p, 17.0)
+        dense = reference_start(p, 17.0)
         np.testing.assert_allclose(init.D @ init.D.T, dense.X,
                                    atol=1e-14 * np.abs(dense.X).max())
         np.testing.assert_allclose(init.P @ init.P.T, dense.Y,
@@ -351,7 +365,7 @@ class TestInitLowRank:
                   random_stable_problem(rng, 15, mp=2), uneven_problem()):
             alpha = choose_alpha(p)
             init = init_lowrank(build_shifted(p, alpha))
-            dense = init_dense(p, alpha)
+            dense = reference_start(p, alpha)
             assert init.D.shape == (p.n, p.p) and init.P.shape == (p.n, p.m)
             np.testing.assert_allclose(init.D @ init.D.T, dense.X, rtol=0.0,
                                        atol=1e-13 * np.abs(dense.X).max())
@@ -369,7 +383,7 @@ class TestBaseOperator:
         # apply_t from the m x p one of apply
         for p, alpha in ((make_example1(16), 17.0), (uneven_problem(), 7.0)):
             op = build_shifted(p, alpha)
-            ahat_dense = init_dense(p, alpha).ahat
+            ahat_dense = reference_start(p, alpha).ahat
             got = self.materialize(op, p.n)
             np.testing.assert_allclose(got, ahat_dense, atol=1e-14)
             got_t = self.materialize(op, p.n, transposed=True)
@@ -395,7 +409,7 @@ class TestBaseOperator:
 class TestInitDense:
     def test_scalar_values(self):
         p = scalar_problem()
-        s0 = init_dense(p, 1.0)
+        s0 = init_dense(build_shifted(p, 1.0))
         assert s0.k == 0
         assert s0.ahat[0, 0] == pytest.approx(0.2, abs=1e-15)
         assert s0.X[0, 0] == pytest.approx(0.4, abs=1e-15)
@@ -403,11 +417,22 @@ class TestInitDense:
 
     def test_outputs_symmetric(self):
         p = make_example2(14)
-        s0 = init_dense(p, 18.0)
+        s0 = init_dense(build_shifted(p, 18.0))
         np.testing.assert_array_equal(s0.X, s0.X.T)
         np.testing.assert_array_equal(s0.Y, s0.Y.T)
+
+    def test_matches_reference_start(self):
+        # the expanded operator against the explicit-inverse formulas
+        for p in (uneven_problem(), make_example2(14)):
+            alpha = choose_alpha(p)
+            s0 = init_dense(build_shifted(p, alpha))
+            ref = reference_start(p, alpha)
+            for got, want in ((s0.ahat, ref.ahat), (s0.X, ref.X),
+                              (s0.Y, ref.Y)):
+                np.testing.assert_allclose(got, want, rtol=0.0,
+                                           atol=1e-13 * np.abs(want).max())
 
     def test_cap(self):
         p = make_example1(600)
         with pytest.raises(SizeCapError):
-            init_dense(p, 17.0)
+            init_dense(build_shifted(p, 17.0))

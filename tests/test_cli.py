@@ -19,7 +19,8 @@ import pytest
 import scipy.sparse as sp
 
 import radda
-from conftest import uncontrollable_problem, unstable_problem
+from conftest import (no_stabilizing_problem, tiny_norm_problem,
+                      uncontrollable_problem, unstable_problem)
 from radda import SingularUpdateError, cli
 from radda.cli import (COMPARE_HEADER, EXIT_BREAKDOWN, EXIT_EQUIVALENCE,
                        EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, RUN_HEADER,
@@ -179,6 +180,40 @@ class TestRun:
         assert f"residual is not finite at iteration {len(rows)}" in err
         assert "termination=breakdown" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["lowrank", "dense"])
+    def test_overflowing_iterate_is_exit_3(self, capsys, tmp_path, mode):
+        # B = 0 and A's +1 mode: no stabilizing solution, and the step
+        # from k = 8 overflows in both engines
+        path = tmp_path / "no_stabilizing.json"
+        save_problem(path, no_stabilizing_problem())
+        code, out, err = run_main(
+            capsys, ["run", "--problem", str(path), "--mode", mode])
+        assert code == EXIT_BREAKDOWN
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(9))
+        assert all(np.isfinite(float(row[1])) for row in rows)
+        assert "termination=breakdown" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["lowrank", "dense"])
+    @pytest.mark.parametrize("scale, p, alpha", [
+        (1e-300, 1, ["--alpha", "1e-300"]),
+        (1e-300, 1, []),
+        (1e-100, 2, ["--alpha", "1e-100"]),
+    ], ids=["overflow-alpha", "overflow-default", "indefinite-alpha"])
+    def test_unusable_shift_is_exit_3(self, capsys, tmp_path, mode, scale,
+                                      p, alpha):
+        # the start at the given shift, or at every rung of the default
+        # search, overflows or is not positive definite
+        path = tmp_path / "tiny.json"
+        save_problem(path, tiny_norm_problem(scale, p))
+        code, out, err = run_main(
+            capsys, ["run", "--problem", str(path), "--mode", mode] + alpha)
+        assert code == EXIT_BREAKDOWN
+        assert out == ""
+        assert "shift" in err
+
     @pytest.mark.usefixtures("overflowing_apply")
     def test_non_finite_apply_is_exit_3(self, capsys):
         code, out, err = run_main(
@@ -296,6 +331,8 @@ class TestCompare:
         assert code == EXIT_OK
         lines = out.splitlines()
         assert lines[0] == COMPARE_HEADER
+        # both engines expand one k = 0 operator, so they start equal
+        assert lines[1].split(",")[3] == "0.0"
         for line in lines[1:]:
             _, res_lr, res_dn, dev = line.split(",")
             assert float(dev) <= cli.EQUIVALENCE_THRESHOLD
@@ -319,6 +356,16 @@ class TestCompare:
             capsys, ["compare", "--example", "1", "--n", "16"])
         assert code == EXIT_EQUIVALENCE
         assert "exceeds" in err
+
+    def test_singular_shift_is_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "identity.json"
+        save_problem(path, CareProblem(np.eye(3), np.ones((3, 1)),
+                                       np.ones((1, 3))))
+        code, out, err = run_main(capsys, ["compare", "--problem", str(path),
+                                           "--alpha", "1"])
+        assert code == EXIT_BREAKDOWN
+        assert out.splitlines() == [COMPARE_HEADER]
+        assert "singular" in err
 
     def test_over_cap(self, capsys):
         code, _, err = run_main(

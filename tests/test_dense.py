@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_stable_problem, scalar_problem
-from radda import (CareProblem, ShiftSingularError, SingularUpdateError,
+from conftest import (no_stabilizing_problem, random_stable_problem,
+                      scalar_problem)
+from radda import (BreakdownError, CareProblem, ShiftSingularError,
+                   SingularUpdateError,
                    SizeCapError, adda_solve_dense, care_oracle_small,
                    choose_alpha, make_example1, make_example2)
+from radda.cayley import build_shifted
 from radda.dense import AddaDenseState, adda_step_dense, init_dense
 from verification import (build_verification_context,
                           verify_doubling_identities, verify_symplectic_pencil)
@@ -16,7 +19,7 @@ SQRT2 = np.sqrt(2.0)
 
 
 def dense_states(problem, alpha, kmax):
-    state = init_dense(problem, alpha)
+    state = init_dense(build_shifted(problem, alpha))
     out = [state]
     for _ in range(kmax):
         state = adda_step_dense(state)
@@ -27,7 +30,7 @@ def dense_states(problem, alpha, kmax):
 class TestStep:
     def test_scalar_first_step_frozen_values(self):
         p = scalar_problem()
-        s0 = init_dense(p, 1.0)
+        s0 = init_dense(build_shifted(p, 1.0))
         s1 = adda_step_dense(s0)
         assert s1.k == 1
         # X1 = 0.4 + 0.2 * 0.4 * 0.2 / 1.16, ahat1 = 0.04 / 1.16
@@ -48,10 +51,19 @@ class TestStep:
             adda_step_dense(bad)
         assert err.value.k == 2
 
+    def test_overflowing_iterate_is_a_breakdown(self):
+        # ahat1 = ahat0^2 = 1e400 overflows: a named breakdown at the
+        # iterate the step started from, not a warning or a bare inf
+        big = AddaDenseState(3, ahat=np.array([[1e200]]), X=np.zeros((1, 1)),
+                             Y=np.zeros((1, 1)))
+        with pytest.raises(BreakdownError, match="not finite") as err:
+            adda_step_dense(big)
+        assert err.value.k == 3
+
 
 class TestShift:
-    """The dense reference checks its shift itself; it builds no low-rank
-    operator to do so."""
+    """The dense solve starts from build_shifted's operator, so its shift
+    is checked there, as the low-rank solve's is."""
 
     @staticmethod
     def identity_problem(sparse):
@@ -125,6 +137,17 @@ class TestSolve:
         assert rep.iterations == 1
         assert [k for k, _ in rep.residual_history] == [0, 1]
         assert rep.alpha == 17.0
+
+    def test_no_stabilizing_solution_breaks_down(self):
+        # the iterates grow until the step from k = 8 overflows; the
+        # report keeps the nine finite iterates before it
+        with pytest.raises(BreakdownError, match="not finite") as err:
+            adda_solve_dense(no_stabilizing_problem())
+        rep = err.value.report
+        assert err.value.k == 8
+        assert rep.termination == "breakdown"
+        assert [k for k, _ in rep.residual_history] == list(range(9))
+        assert all(np.isfinite(r) for _, r in rep.residual_history)
 
     def test_argument_validation(self):
         with pytest.raises(SizeCapError):

@@ -29,7 +29,7 @@ def lowrank_state(problem, alpha):
 
 
 def dense_state(problem, alpha):
-    return init_dense(problem, alpha)
+    return init_dense(build_shifted(problem, alpha))
 
 
 def rotate(D, rng):

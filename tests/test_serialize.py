@@ -69,7 +69,11 @@ def test_b_and_c_orientation_survives():
     (lambda d: d.update(m=-1), "non-negative"),
     (lambda d: d["A"].update(kind="mystery"), "kind"),
     (lambda d: d.update(B=[1.0, 2.0]), "entries"),
+    (lambda d: d.update(C=[1.0]), "C has 1 entries"),
     (lambda d: d["A"]["bands"].__setitem__(0, [1.0]), "band"),
+    (lambda d: d["A"]["bands"].pop(), "differ in length"),
+    (lambda d: d.update(A={"kind": "dense", "entries": [[1.0, 2.0]]}),
+     "shape"),
 ])
 def test_bad_documents_are_rejected(mutate, message):
     doc = problem_to_dict(make_example2(5))
@@ -134,9 +138,10 @@ def test_scattered_sparse_round_trip_is_exact_and_o_nnz(tmp_path):
 
 def test_banded_while_diagonals_hold_half_the_entries():
     # d n <= 2 nnz writes bands: one diagonal of n = 20 with 10 stored
-    # entries is banded, with 9 it is csr
+    # entries is banded, with 9 it is csr, and no stored entries at all
+    # is banded with no bands
     assert problem_to_dict(make_example2(40))["A"]["kind"] == "banded"
-    for stored, kind in ((10, "banded"), (9, "csr")):
+    for stored, kind in ((10, "banded"), (9, "csr"), (0, "banded")):
         A = sp.csr_matrix((np.arange(1.0, stored + 1),
                            (np.arange(stored), np.arange(stored))),
                           shape=(20, 20))

@@ -3,7 +3,9 @@
 Test-only: the acceptance gate (criteria 5 and 7) and tests/test_dense.py
 check iterates against the stabilizing solutions from the eigen-oracle and
 against the symplectic pencil structure.  dual_problem gives the oracle
-the dual equation, whose solution the iterates Y_k approach.
+the dual equation, whose solution the iterates Y_k approach, and
+reference_start the k = 0 iterate from explicit inverses, which the tests
+of build_shifted's operator compare against.
 """
 
 from dataclasses import dataclass
@@ -36,6 +38,31 @@ def dual_problem(problem: CareProblem) -> CareProblem:
     if sp.issparse(At):
         At = At.tocsr()
     return CareProblem(At, problem.C.T.copy(), problem.B.T.copy())
+
+
+def reference_start(problem: CareProblem, alpha: float) -> AddaDenseState:
+    """The k = 0 iterate at shift a = alpha from its explicit-inverse
+    formulas, independent of build_shifted's operator:
+
+        Ahat0 = I + 2a V_a^{-1},
+        X0    = 2a U_a^{-1} Q A_a^{-1},
+        Y0    = 2a A_a^{-1} G U_a^{-1},
+
+    with A_a = A - a I, U_a = A_a' + Q A_a^{-1} G, V_a = A_a + G A_a^{-T} Q,
+    and X0, Y0 symmetrized.
+    """
+    n = problem.n
+    G = problem.B @ problem.B.T
+    Q = problem.C.T @ problem.C
+    Aa = problem.a_dense() - alpha * np.eye(n)
+    Aa_inv = np.linalg.inv(Aa)
+    Ua = Aa.T + Q @ Aa_inv @ G
+    Va = Aa + G @ Aa_inv.T @ Q
+    Ahat0 = np.eye(n) + 2.0 * alpha * np.linalg.inv(Va)
+    X0 = 2.0 * alpha * np.linalg.solve(Ua, Q @ Aa_inv)
+    Y0 = 2.0 * alpha * (Aa_inv @ np.linalg.solve(Ua.T, G).T)
+    return AddaDenseState(k=0, ahat=Ahat0, X=(X0 + X0.T) / 2.0,
+                          Y=(Y0 + Y0.T) / 2.0)
 
 
 def _cayley(M: np.ndarray, alpha: float) -> np.ndarray:
