@@ -21,11 +21,12 @@ from time import perf_counter
 
 import numpy as np
 
-from .cayley import ShiftSingularError, build_shifted, choose_alpha
+from .cayley import ShiftSingularError
 from .dense import adda_solve_dense, adda_step_dense, init_dense
-from .lowrank import init_lowrank, radda_solve, radda_step, residual_lowrank
-from .problems import BreakdownError, CareProblem, drive, iterate, \
-    make_example1, make_example2, qnorm, residual_dense
+from .lowrank import drive, init_lowrank, radda_solve, radda_step, \
+    residual_lowrank
+from .problems import BreakdownError, CareProblem, make_example1, \
+    make_example2, qnorm, residual_dense
 from .serialize import load_problem
 
 EXIT_OK = 0
@@ -134,7 +135,6 @@ def cmd_compare(args) -> int:
     """Both solvers in lockstep; emits per-iteration residuals and the
     relative Frobenius deviation of the reconstructed factored iterate."""
     problem = _load(args)
-    alpha = choose_alpha(problem) if args.alpha is None else args.alpha
     qn = qnorm(problem)
     rows = []
 
@@ -148,16 +148,16 @@ def cmd_compare(args) -> int:
         return max(res_lr, res_dn)
 
     try:
-        op = build_shifted(problem, alpha)
-        pairs = zip(iterate(init_lowrank(op), radda_step),
-                    iterate(init_dense(op), adda_step_dense))
-        _, report = drive(pairs, residuals,
-                          lambda pair: (pair[0].rank_x, pair[0].rank_y),
-                          args.tol, args.maxit, perf_counter(), alpha)
+        _, report = drive(
+            problem, args.alpha, lambda op: (init_lowrank(op), init_dense(op)),
+            lambda pair: (radda_step(pair[0]), adda_step_dense(pair[1])),
+            residuals, lambda pair: (pair[0].rank_x, pair[0].rank_y),
+            args.tol, args.maxit)
         converged = report.termination == "converged"
         code = EXIT_OK if converged else EXIT_NOT_CONVERGED
     except (BreakdownError, ShiftSingularError) as exc:
         _info(f"error: {exc}")
+        report = getattr(exc, "report", None)
         code = EXIT_BREAKDOWN
     max_dev = max((row[3] for row in rows), default=0.0)
 
@@ -167,7 +167,7 @@ def cmd_compare(args) -> int:
         meta = {
             "command": "compare",
             "n": problem.n,
-            "alpha": alpha,
+            "alpha": args.alpha if report is None else report.alpha,
             "tol": args.tol,
             "max_deviation": max_dev,
         }
@@ -279,8 +279,8 @@ def main(argv=None) -> int:
     if getattr(args, "problem", None) is not None and args.n is not None:
         _info("error: --n only applies to the built-in --example families")
         return EXIT_USAGE
-    if (args.tol <= 0 or args.maxit < 1
-            or getattr(args, "truncate_tol", 0.0) < 0):
+    if (not args.tol > 0 or args.maxit < 1
+            or not getattr(args, "truncate_tol", 0.0) >= 0):
         _info("error: --tol must be > 0, --maxit >= 1, --truncate-tol >= 0")
         return EXIT_USAGE
     if getattr(args, "mode", None) == "dense" and args.truncate_tol > 0:

@@ -1,23 +1,23 @@
 """Dense reference implementation of the doubling iteration.
 
-It starts from the k = 0 operator of the low-rank engine (build_shifted),
-expanded to n x n, and doubles the dense iterates from there.  Everything
-here is desk-scale (n capped) on purpose: it exists to arbitrate,
-not to compete.
+It runs on the low-rank engine's run path (lowrank.drive): its k = 0
+state is build_shifted's operator expanded to n x n, and it doubles the
+dense iterates from there.  Everything here is desk-scale (n capped) on
+purpose: it exists to arbitrate, not to compete.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 import scipy.linalg as sla
 
-from .cayley import BaseDoublingOperator, build_shifted, choose_alpha
+from .cayley import BaseDoublingOperator
+from .lowrank import drive
 from .problems import (BreakdownError, CareProblem, DENSE_CAP, SizeCapError,
-                       drive, iterate, residual_dense)
+                       residual_dense)
 
 
 class SingularUpdateError(BreakdownError):
@@ -95,24 +95,19 @@ def adda_solve_dense(problem: CareProblem, *, alpha: float | None = None,
                      tol: float = 1e-12, maxit: int = 30):
     """Dense doubling driver; returns (X, SolveReport).
 
-    Shares the low-rank driver's default shift (choose_alpha), loop,
-    stopping rule (relative residual <= tol) and report layout, so the
-    two modes can be compared row by row.  The rank columns of the report
-    carry the numerical ranks of the dense iterates.  A BreakdownError
-    carries the partial report in .report.
+    Runs on the low-rank solver's run path (lowrank.drive), so the two
+    modes share the default shift (choose_alpha), the k = 0 operator
+    (build_shifted), the loop, the stopping rule (relative residual <=
+    tol) and the report layout, and can be compared row by row.  The rank
+    columns of the report carry the numerical ranks of the dense
+    iterates.  A BreakdownError carries the partial report in .report.
     """
     if problem.n > DENSE_CAP:
         raise SizeCapError(
             f"n={problem.n} exceeds the dense cap {DENSE_CAP}")
-    if tol <= 0.0 or maxit < 1:
-        raise ValueError("tol must be positive and maxit at least 1")
-    t0 = perf_counter()
-    a = choose_alpha(problem) if alpha is None else float(alpha)
-    state = init_dense(build_shifted(problem, a))
     state, report = drive(
-        iterate(state, adda_step_dense),
+        problem, alpha, init_dense, adda_step_dense,
         lambda s: residual_dense(problem, s.X),
         lambda s: (int(np.linalg.matrix_rank(s.X)),
-                   int(np.linalg.matrix_rank(s.Y))),
-        tol, maxit, t0, a)
+                   int(np.linalg.matrix_rank(s.Y))), tol, maxit)
     return state.X, report

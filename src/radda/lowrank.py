@@ -13,6 +13,10 @@ two depth-(k-1) applies of half width per side, 2 (p + m) 4^(k-1) base
 columns; K doublings from the start then cost (p + m)(1 + (4^K - 4)/6)
 columns in all.  After truncation a step falls back to one depth-k apply
 per side, 2^k (p_k + m_k) columns.
+
+drive is the one run path of both engines and of the CLI's compare: it
+picks the shift, builds the k = 0 operator and doubles under the shared
+stopping rule.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import scipy.linalg as sla
 
 from .cayley import BaseDoublingOperator, _times_inv_lt, build_shifted, \
     choose_alpha
-from .problems import BreakdownError, CareProblem, LowRankSymmetric, drive, \
-    iterate, qnorm as _qnorm_of, relative_residual, spectral_norm_sym
+from .problems import BreakdownError, CareProblem, LowRankSymmetric, \
+    SolveReport, qnorm as _qnorm_of, relative_residual, spectral_norm_sym
 
 
 def apply_ahat(base: BaseDoublingOperator, chain: tuple, Z: np.ndarray,
@@ -202,9 +206,10 @@ def residual_lowrank(problem: CareProblem, D: np.ndarray,
          [ 0, -W W',   I ],      W = D'B.
          [ 0,  I,      0 ]]
 
-    The identity needs no rank assumptions on F.  A zero ||Q||_2 triggers
-    the same absolute-residual fallback as the dense path.  Non-finite
-    entries in F raise ValueError, an overflowing core gives inf.
+    The identity needs no rank assumptions on F.  When C = 0 makes
+    ||Q||_2 = 0 the absolute residual is returned, silently, as on the
+    dense path.  Non-finite entries in F raise ValueError, an overflowing
+    core gives inf.
     """
     D = np.asarray(D, dtype=float)
     n, p = problem.n, problem.p
@@ -237,7 +242,7 @@ def truncate_factors(D: np.ndarray, tol: float) -> np.ndarray:
     go, so X moves by at most tol * ||X||_2 in spectral norm.  tol = 0
     passes D through untouched, and an empty factor is returned as-is.
     """
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValueError(f"truncation tolerance must be >= 0, got {tol}")
     if tol == 0.0 or D.shape[1] == 0:
         return D
@@ -245,6 +250,51 @@ def truncate_factors(D: np.ndarray, tol: float) -> np.ndarray:
     U, s, _ = sla.svd(R)
     keep = s > np.sqrt(tol) * s[0]
     return Q @ (U[:, keep] * s[keep])
+
+
+def drive(problem: CareProblem, alpha: float | None, start, step,
+          residual, ranks, tol: float, maxit: int):
+    """One doubling solve under the shared stopping rule.
+
+    Takes the shift a = alpha, or choose_alpha(problem) when alpha is
+    None, factors A - a I once (build_shifted) and takes the k = 0 state
+    from start(operator); then state = step(state) for k = 1 ... maxit,
+    stopping at the first state whose residual(state) is at most tol.
+    Returns the last state and its SolveReport, which records a;
+    ranks(state) is evaluated outside the timed sections.  A
+    BreakdownError out of a step, or a residual that is not finite, leaves
+    with the partial report attached and termination "breakdown".
+    ValueError unless tol > 0 and maxit >= 1.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if maxit < 1:
+        raise ValueError(f"maxit must be at least 1, got {maxit}")
+    t0 = perf_counter()
+    a = choose_alpha(problem) if alpha is None else float(alpha)
+    state = start(build_shifted(problem, a))
+    report = SolveReport(alpha=a, termination="max-iterations")
+    try:
+        for k in range(maxit + 1):
+            if k:
+                state = step(state)
+            res = residual(state)
+            if not np.isfinite(res):
+                raise BreakdownError(
+                    f"the residual is not finite at iteration {k}", k=k)
+            report.residual_history.append((k, res))
+            report.wall_times.append(perf_counter() - t0)
+            report.rank_history.append((k, *ranks(state)))
+            report.iterations = k
+            if res <= tol:
+                report.termination = "converged"
+                break
+            t0 = perf_counter()
+    except BreakdownError as exc:
+        report.termination = "breakdown"
+        exc.report = report
+        raise
+    return state, report
 
 
 def radda_solve(problem: CareProblem, *, alpha: float | None = None,
@@ -287,11 +337,7 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         residual overflows mid-run; the exception carries the partial
         report in .report.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if maxit < 1:
-        raise ValueError(f"maxit must be at least 1, got {maxit}")
-    if truncate_tol < 0.0:
+    if not truncate_tol >= 0.0:
         raise ValueError(
             f"truncation tolerance must be >= 0, got {truncate_tol}")
 
@@ -301,13 +347,10 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         P = truncate_factors(state.P, truncate_tol)
         return replace(state, D=D, P=P, chol=None)
 
-    t0 = perf_counter()
-    a = choose_alpha(problem) if alpha is None else float(alpha)
-    state = init_lowrank(build_shifted(problem, a))
     qn = _qnorm_of(problem)
     state, report = drive(
-        iterate(state, truncated_step if truncate_tol > 0.0 else radda_step),
+        problem, alpha, init_lowrank,
+        truncated_step if truncate_tol > 0.0 else radda_step,
         lambda s: residual_lowrank(problem, s.D, qn),
-        lambda s: (s.rank_x, s.rank_y),
-        tol, maxit, t0, a)
+        lambda s: (s.rank_x, s.rank_y), tol, maxit)
     return LowRankSymmetric(state.D), report

@@ -1,4 +1,5 @@
-"""Problem containers, benchmark generators, and dense reference utilities.
+"""Problem containers, benchmark generators, dense reference utilities and
+the SolveReport that lowrank.drive fills for both engines.
 
 The equations treated throughout the package are continuous-time algebraic
 Riccati equations in the low-rank-driver form
@@ -13,10 +14,7 @@ equation for the transposed data (A', C', B').
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from itertools import islice
-from time import perf_counter
 
 import numpy as np
 import scipy.sparse as sp
@@ -130,7 +128,7 @@ class LowRankSymmetric:
 
 @dataclass
 class SolveReport:
-    """Per-run bookkeeping shared by the dense and low-rank drivers.
+    """Per-run bookkeeping of lowrank.drive, shared by both engines.
 
     residual_history holds (k, relative residual) pairs including the
     initial iterate k = 0; rank_history holds (k, rank of the X factor,
@@ -146,49 +144,6 @@ class SolveReport:
     rank_history: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
     termination: str = "converged"
-
-
-def iterate(state, step):
-    """The iterates state, step(state), step(step(state)), ... on demand."""
-    while True:
-        yield state
-        state = step(state)
-
-
-def drive(iterates, residual, ranks, tol: float, maxit: int, t0: float,
-          alpha: float):
-    """Run a doubling iteration under the shared stopping rule.
-
-    Takes the k = 0 iterate and up to maxit more from iterates, stopping
-    at the first whose residual(state) is at most tol.  Returns the last
-    iterate taken and its SolveReport: wall_times[0] runs from t0, and
-    ranks(state), a pair of factor ranks, is evaluated outside the timed
-    sections, and alpha is the shift recorded in the report.  A
-    BreakdownError out of a step leaves with the partial report attached
-    and termination "breakdown", and so does a residual that is not
-    finite, before its iterate enters the report.
-    """
-    report = SolveReport(alpha=alpha, termination="max-iterations")
-    start = t0
-    try:
-        for k, state in enumerate(islice(iterates, maxit + 1)):
-            res = residual(state)
-            if not np.isfinite(res):
-                raise BreakdownError(
-                    f"the residual is not finite at iteration {k}", k=k)
-            report.residual_history.append((k, res))
-            report.wall_times.append(perf_counter() - start)
-            report.rank_history.append((k, *ranks(state)))
-            report.iterations = k
-            if res <= tol:
-                report.termination = "converged"
-                break
-            start = perf_counter()
-    except BreakdownError as exc:
-        report.termination = "breakdown"
-        exc.report = report
-        raise
-    return state, report
 
 
 def make_example1(n: int) -> CareProblem:
@@ -242,8 +197,9 @@ def residual_dense(problem: CareProblem, X: np.ndarray) -> float:
     """Relative residual ||A'X + XA - X G X + Q||_2 / ||Q||_2.
 
     X = 0 gives exactly 1.0 for any problem with C != 0.  When C = 0 the
-    normalization degenerates; the absolute residual is returned and a
-    RuntimeWarning is emitted.
+    normalization degenerates and the absolute residual is returned,
+    silently: a solve of such a problem has X = 0, residual exactly 0.0,
+    at every iterate.
     """
     X = np.asarray(X, dtype=float)
     A = problem.A
@@ -256,12 +212,8 @@ def residual_dense(problem: CareProblem, X: np.ndarray) -> float:
 
 def relative_residual(num: float, den: float) -> float:
     """num / den for a residual norm num and den = ||Q||_2, or num itself
-    with a RuntimeWarning when C = 0 makes den vanish."""
-    if den == 0.0:
-        warnings.warn("C = 0 makes ||Q||_2 = 0; reporting the absolute "
-                      "residual instead of a relative one", RuntimeWarning)
-        return num
-    return num / den
+    when C = 0 makes den vanish."""
+    return num / den if den else num
 
 
 def care_oracle_small(problem: CareProblem) -> np.ndarray:

@@ -224,6 +224,18 @@ class TestRun:
         assert "operator apply is non-finite at iteration 1" in err
         assert "termination=breakdown" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_problem_file_without_outputs(self, capsys, tmp_path):
+        # C = p x 0 makes ||Q||_2 = 0: every iterate is X = 0 and its
+        # absolute residual, exactly 0.0, is reported without a warning
+        path = tmp_path / "no-outputs.json"
+        p = make_example1(32)
+        save_problem(path, CareProblem(p.A, p.B, np.zeros((0, 32))))
+        code, out, err = run_main(capsys, ["run", "--problem", str(path)])
+        assert code == EXIT_OK
+        assert out.splitlines()[1].split(",")[:2] == ["0", "0.0"]
+        assert "termination=converged" in err
+
     def test_problem_file_without_inputs(self, capsys, tmp_path):
         # B = n x 0 leaves a Lyapunov equation, which the solver accepts,
         # so its problem file must load and solve
@@ -283,7 +295,12 @@ class TestUsageErrors:
     def test_bad_tolerances(self, capsys):
         for argv in (["run", "--example", "1", "--tol", "0"],
                      ["run", "--example", "1", "--maxit", "0"],
-                     ["run", "--example", "1", "--truncate-tol", "-1"]):
+                     ["run", "--example", "1", "--truncate-tol", "-1"],
+                     # --maxit bounds the run should a NaN be accepted
+                     ["run", "--example", "1", "--maxit", "2",
+                      "--tol", "nan"],
+                     ["run", "--example", "1", "--maxit", "2",
+                      "--truncate-tol", "nan"]):
             code, _, _ = run_main(capsys, argv)
             assert code == EXIT_USAGE
 
@@ -366,6 +383,47 @@ class TestCompare:
         assert code == EXIT_BREAKDOWN
         assert out.splitlines() == [COMPARE_HEADER]
         assert "singular" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_unusable_default_shift_is_exit_3(self, capsys, tmp_path):
+        # every rung of the default search gives an overflowing start
+        path = tmp_path / "tiny.json"
+        save_problem(path, tiny_norm_problem(1e-300))
+        code, out, err = run_main(capsys, ["compare", "--problem", str(path)])
+        assert code == EXIT_BREAKDOWN
+        assert out.splitlines() == [COMPARE_HEADER]
+        assert "shift" in err
+
+    @pytest.mark.parametrize("alpha, expect", [([], None),
+                                               (["--alpha", "1e-300"], 1e-300)])
+    def test_json_alpha_without_report(self, capsys, tmp_path, alpha, expect):
+        path = tmp_path / "tiny.json"
+        save_problem(path, tiny_norm_problem(1e-300))
+        code, out, _ = run_main(capsys, ["compare", "--problem", str(path),
+                                         "--format", "json"] + alpha)
+        assert code == EXIT_BREAKDOWN
+        doc = json.loads(out)
+        assert doc["alpha"] == expect
+        assert doc["rows"] == []
+
+    def test_json_alpha_of_breakdown_report(self, capsys, tmp_path):
+        # the dense engine's I + Y X turns singular at k = 5; the partial
+        # report names the default shift
+        path = tmp_path / "uncontrollable.json"
+        save_problem(path, uncontrollable_problem())
+        code, out, _ = run_main(capsys, ["compare", "--problem", str(path),
+                                         "--format", "json"])
+        assert code == EXIT_BREAKDOWN
+        doc = json.loads(out)
+        assert len(doc["rows"]) == 6
+        assert doc["alpha"] == radda.choose_alpha(uncontrollable_problem())
+
+    def test_json_alpha_matches_run(self, capsys):
+        source = ["--example", "1", "--n", "64", "--format", "json"]
+        code, out, _ = run_main(capsys, ["compare"] + source)
+        assert code == EXIT_OK
+        _, run_out, _ = run_main(capsys, ["run"] + source)
+        assert json.loads(out)["alpha"] == json.loads(run_out)["alpha"]
 
     def test_over_cap(self, capsys):
         code, _, err = run_main(

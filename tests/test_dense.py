@@ -156,6 +156,8 @@ class TestSolve:
             adda_solve_dense(make_example1(8), tol=0.0)
         with pytest.raises(ValueError):
             adda_solve_dense(make_example1(8), maxit=0)
+        with pytest.raises(ValueError):
+            adda_solve_dense(make_example1(8), tol=np.nan, maxit=2)
 
 
 class TestVerifiers:

@@ -252,9 +252,9 @@ class TestResidualLowrank:
     def test_zero_c_falls_back_to_absolute(self):
         p = CareProblem(-np.eye(4), np.ones((4, 1)), np.zeros((1, 4)))
         D = np.ones((4, 1))
-        with pytest.warns(RuntimeWarning):
-            r = residual_lowrank(p, D)
-        # X = ones: A'X + XA - X(BB')X = -2*ones - 16*ones, norm 18*4
+        r = residual_lowrank(p, D)
+        # no warning, which pyproject's filterwarnings would turn into an
+        # error; X = ones: A'X + XA - X(BB')X = -2*ones - 16*ones, norm 18*4
         assert r == pytest.approx(72.0, rel=1e-12)
 
     def test_non_finite_factor_rejected(self):
@@ -307,6 +307,11 @@ class TestTruncation:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             truncate_factors(np.ones((3, 1)), -1.0)
+
+    def test_nan_tolerance_rejected(self):
+        # a NaN cutoff would otherwise turn truncation off silently
+        with pytest.raises(ValueError):
+            truncate_factors(np.ones((3, 1)), np.nan)
 
 
 class TestSolve:
@@ -368,7 +373,11 @@ class TestSolve:
 
     def test_argument_validation(self):
         p = make_example1(8)
-        for bad in (dict(tol=0.0), dict(maxit=0), dict(truncate_tol=-1.0)):
+        # a NaN tol never stops the loop and a NaN cutoff never truncates;
+        # maxit = 2 bounds the run should either be accepted
+        for bad in (dict(tol=0.0), dict(maxit=0), dict(truncate_tol=-1.0),
+                    dict(tol=np.nan, maxit=2),
+                    dict(truncate_tol=np.nan, maxit=2)):
             with pytest.raises(ValueError):
                 radda_solve(p, **bad)
 
