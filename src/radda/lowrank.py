@@ -14,6 +14,13 @@ columns; K doublings from the start then cost (p + m)(1 + (4^K - 4)/6)
 columns in all.  After truncation a step falls back to one depth-k apply
 per side, 2^k (p_k + m_k) columns.
 
+The n-scale memory is the factors themselves.  D and P are tuples of
+column blocks, one per step, so a step appends its new blocks without
+copying the old ones, and the chain's right-hand blocks V_j are the
+blocks of D, not copies of them.  The factored residual streams the rows
+of its basis through a QR, so it holds one row block of that basis at a
+time beside A'D.
+
 drive is the one run path of both engines and of the CLI's compare: it
 picks the shift, builds the k = 0 operator and doubles under the shared
 stopping rule.
@@ -64,9 +71,11 @@ def _apply_level(base: BaseDoublingOperator, chain: tuple, j: int,
 @dataclass(frozen=True)
 class RaddaState:
     """One factored iterate: X_k = D D', Y_k = P P' and the depth-k
-    doubling operator.  The factors are all it keeps of the iterate; a
-    step forms the cross-Gram D'P itself, and no array of a state is
-    written after it is built (at k = 0, D and P are the base operator's).
+    doubling operator.  D and P are tuples of n-row column blocks whose
+    concatenations are the Cholesky factors; the factors are all a state
+    keeps of the iterate, a step forms the cross-Gram D'P itself, and no
+    block of a state is written after it is built (at k = 0, D and P are
+    the base operator's single blocks).
 
     The operator ahat_k is the base operator followed by chain, the
     tuple of k thin corrections (U_j, V_j) that apply_ahat reads; a step
@@ -74,80 +83,99 @@ class RaddaState:
 
     chol holds the lower Cholesky factors (L_x, L_y) of the step that
     produced this state, and marks factors that are exactly that step's
-    factors followed by the blocks it appended: D = [D_{k-1}, V_k] with
-    V_k the right block of the last chain correction, and P = [P_{k-1},
-    (ahat_{k-1} P_{k-1}) L_y^{-T}].  radda_step sets it and the next step
+    factors followed by the blocks it appended: D = (*D_{k-1}, V_k) with
+    V_k the right block of the last chain correction, held once
+    (state.D[-1] is state.chain[-1][1]), and P = (*P_{k-1},
+    (ahat_{k-1} P_{k-1}) L_y^{-T}).  radda_step sets it and the next step
     uses it to halve the operator applies; any change of the factors
     (truncation, a rotation, a hand-built state) must leave it None.
     """
 
     k: int
-    D: np.ndarray
-    P: np.ndarray
+    D: tuple
+    P: tuple
     base: BaseDoublingOperator
     chain: tuple
     chol: tuple | None = None
 
     @property
     def rank_x(self) -> int:
-        return self.D.shape[1]
+        return sum(block.shape[1] for block in self.D)
 
     @property
     def rank_y(self) -> int:
-        return self.P.shape[1]
+        return sum(block.shape[1] for block in self.P)
+
+
+def _joined(blocks: tuple) -> np.ndarray:
+    """The concatenation of column blocks; a single block is returned
+    as-is, not copied."""
+    return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+
+
+def _cross(Z: np.ndarray, blocks: tuple) -> np.ndarray:
+    """Z' [blocks], one small product per block."""
+    return np.hstack([Z.T @ block for block in blocks])
 
 
 def init_lowrank(op: BaseDoublingOperator) -> RaddaState:
     """The factored k = 0 iterate X0 = D D', Y0 = P P' on the base
     operator op (build_shifted), which already holds both factors: the
-    state shares op.D and op.P and does no work of its own.
+    state shares op.D and op.P, as one block each, and does no work of
+    its own.
     """
-    return RaddaState(k=0, D=op.D, P=op.P, base=op, chain=())
+    return RaddaState(k=0, D=(op.D,), P=(op.P,), base=op, chain=())
 
 
 def _first_two_powers(base: BaseDoublingOperator, chain: tuple,
                       Z: np.ndarray, L: np.ndarray,
                       transposed: bool) -> np.ndarray:
     """[(ahat Z) L', ahat^2 Z] (or the transposed powers) as one n x 2t
-    block, for the operator of base and chain.  S and T are freed on
-    return, before the caller adds its correction."""
+    block, for the operator of base and chain, written into one
+    allocation.  S and T are freed on return, before the caller adds its
+    correction."""
     S = apply_ahat(base, chain, Z, transposed=transposed)
-    T = apply_ahat(base, chain, S, transposed=transposed)
-    return np.hstack([S @ L.T, T])
+    t = S.shape[1]
+    out = np.empty((S.shape[0], 2 * t))
+    np.matmul(S, L.T, out=out[:, :t])
+    out[:, t:] = apply_ahat(base, chain, S, transposed=transposed)
+    return out
 
 
 def radda_step(state: RaddaState) -> RaddaState:
     """Advance the factored iterate one doubling step.
 
-    With the cross-Gram W = D'P, formed here from the factors, and the
-    lower Cholesky factors
+    With the cross-Gram W = D'P, formed here block by block from the
+    factors, and the lower Cholesky factors
 
         L_x L_x' = I + W W',      L_y L_y' = I + W'W,
 
     the push-through identity turns the dense update into one block
-    appended to each factor, D~ = [D, N_x] and P~ = [P, N_y] with
+    appended to each factor, D~ = (*D, N_x) and P~ = (*P, N_y) with
 
         N_x = (ahat'D) L_x^{-T},      N_y = (ahat P) L_y^{-T},
 
     and the operator gains the thin correction -N_y (L_y^{-1} W' L_x) N_x',
     the new columns times an m_k x p_k matrix, so it needs no apply of its
-    own.  Both Gram matrices have every eigenvalue >= 1: a factorization
-    fails only once W is so large that rounding swamps the identity, and
-    that, a non-finite W or Gram matrix, or a non-finite operator apply
-    raises BreakdownError.
+    own; its right block is N_x itself.  The old blocks are kept, not
+    copied.  Both Gram matrices have every eigenvalue >= 1: a
+    factorization fails only once W is so large that rounding swamps the
+    identity, and that, a non-finite W or Gram matrix, or a non-finite
+    operator apply raises BreakdownError.
 
     On a doubled state, with prev = ahat_{k-1}, (U_k, V_k) the last
-    correction, (M_x, M_y) = chol the last step's factors and F the block
-    the last step appended to P,
+    correction, (M_x, M_y) = chol the last step's factors and F = P[-1]
+    the block the last step appended to P,
 
         ahat' D = [S M_x', prev' S] + V_k (U_k' D),      S = prev' V_k,
         ahat P  = [T M_y', prev T]  + U_k (V_k' P),      T = prev F,
 
     so each side takes two depth-(k-1) applies of half width in place of
-    one depth-k apply.  Other states apply the depth-k chain directly.
+    one depth-k apply.  Other states apply the depth-k chain directly, to
+    the factors concatenated once.
     """
     D, P, k = state.D, state.P, state.k
-    W = D.T @ P
+    W = np.vstack([_cross(block, P) for block in D])
     p_k, m_k = W.shape
     if not np.all(np.isfinite(W)):
         raise BreakdownError(f"D'P is non-finite at iteration {k}", k=k)
@@ -170,32 +198,40 @@ def radda_step(state: RaddaState) -> RaddaState:
             prev_x, prev_y = state.chol
             N_x = _first_two_powers(base, prev, V_k, prev_x,
                                     transposed=True)
-            N_x += V_k @ (U_k.T @ D)
-            N_y = _first_two_powers(base, prev, P[:, m_k // 2:], prev_y,
+            N_x += V_k @ _cross(U_k, D)
+            N_y = _first_two_powers(base, prev, P[-1], prev_y,
                                     transposed=False)
-            N_y += U_k @ (V_k.T @ P)
+            N_y += U_k @ _cross(V_k, P)
         else:
-            N_x = apply_ahat(base, chain, D, transposed=True)
-            N_y = apply_ahat(base, chain, P)
+            N_x = apply_ahat(base, chain, _joined(D), transposed=True)
+            N_y = apply_ahat(base, chain, _joined(P))
     if not (np.all(np.isfinite(N_x)) and np.all(np.isfinite(N_y))):
         raise BreakdownError(
             f"an operator apply is non-finite at iteration {k}", k=k)
     N_x = _times_inv_lt(N_x, L_x)
     N_y = _times_inv_lt(N_y, L_y)
-    small = sla.solve_triangular(L_y, W.T @ L_x, lower=True)
+    U = N_y @ sla.solve_triangular(L_y, W.T @ L_x, lower=True)
     return RaddaState(
         k=k + 1,
-        D=np.hstack([D, N_x]),
-        P=np.hstack([P, N_y]),
+        D=(*D, N_x),
+        P=(*P, N_y),
         base=base,
-        chain=chain + ((-(N_y @ small), N_x),),
+        chain=chain + ((np.negative(U, out=U), N_x),),
         chol=(L_x, L_y),
     )
 
 
-def residual_lowrank(problem: CareProblem, D: np.ndarray,
+#: rows of the residual's basis that one QR of its streamed
+#: factorization takes in
+_ROW_BLOCK = 1 << 15
+
+
+def residual_lowrank(problem: CareProblem, D,
                      qnorm: float | None = None) -> float:
     """Relative residual of X = D D' without forming n x n data.
+
+    D is the n x r Cholesky factor, or a sequence of n-row column blocks
+    whose concatenation is; a state's D can be passed as it is.
 
     The residual A'X + XA - X G X + Q has column space inside
     F = [C' | D | A'D], so the triangular factor R of F = QR (Q is never
@@ -206,27 +242,48 @@ def residual_lowrank(problem: CareProblem, D: np.ndarray,
          [ 0, -W W',   I ],      W = D'B.
          [ 0,  I,      0 ]]
 
-    The identity needs no rank assumptions on F.  When C = 0 makes
-    ||Q||_2 = 0 the absolute residual is returned, silently, as on the
-    dense path.  Non-finite entries in F raise ValueError, an overflowing
-    core gives inf.
+    R comes from a flat TSQR over row blocks of F: the running R is
+    stacked on the next rows of F and factored again, so F is never held
+    whole, only A'D and one row block beside the factor.  W is summed
+    over the same row blocks; one dot product over all n rows loses
+    enough of W at scale (2e-11 of 9 on example 1 at n = 5e5) to lift a
+    converged residual from 3e-13 to 3.5e-12.  The identity needs no rank
+    assumptions on F.  When C = 0 makes ||Q||_2 = 0 the
+    absolute residual is returned, silently, as on the dense path.
+    Non-finite entries in F raise ValueError, an overflowing core gives
+    inf.
     """
-    D = np.asarray(D, dtype=float)
+    blocks = [np.asarray(block, dtype=float) for block in
+              ((D,) if isinstance(D, np.ndarray) else D)]
     n, p = problem.n, problem.p
-    r = D.shape[1]
+    r = sum(block.shape[1] for block in blocks)
     if qnorm is None:
         qnorm = _qnorm_of(problem)
-    # F is built once, column-major, and factored in place by LAPACK
-    F = np.empty((n, p + 2 * r), order="F")
-    F[:, :p] = problem.C.T
-    F[:, p:p + r] = D
-    F[:, p + r:] = problem.A.T @ D
-    R = sla.qr(F, mode="raw", overwrite_a=True)[1]
-    # R times the block core times R', one block at a time; eigvalsh reads
-    # only the lower triangle
-    R1, R2, R3 = R[:, :p], R[:, p:p + r], R[:, p + r:]
+    columns = [problem.C.T, *blocks,
+               *(problem.A.T @ block for block in blocks)]
+    R = np.empty((0, p + 2 * r))
+    W = np.zeros((r, problem.m))
+    # an overflowing W or core shows below as a non-finite core
     with np.errstate(over="ignore", invalid="ignore"):
-        G = R2 @ (D.T @ problem.B)
+        for start in range(0, n, _ROW_BLOCK):
+            rows = slice(start, min(start + _ROW_BLOCK, n))
+            # the running R on these rows of F, column-major so that
+            # LAPACK factors it in place; W sums over the same rows, so a
+            # factor and its blocks give the same bits
+            S = np.empty((len(R) + rows.stop - start, R.shape[1]),
+                         order="F")
+            S[:len(R)] = R
+            col = 0
+            for block in columns:
+                S[len(R):, col:col + block.shape[1]] = block[rows]
+                col += block.shape[1]
+            W += S[len(R):, p:p + r].T @ problem.B[rows]
+            R = sla.qr(S, mode="raw", overwrite_a=True)[1]
+            del S   # before the next block is allocated
+        # R times the block core times R', one block at a time; eigvalsh
+        # reads only the lower triangle
+        R1, R2, R3 = R[:, :p], R[:, p:p + r], R[:, p + r:]
+        G = R2 @ W
         M = R2 @ R3.T
         core = R1 @ R1.T - G @ G.T + M + M.T
     if not np.all(np.isfinite(core)):
@@ -343,9 +400,9 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
 
     def truncated_step(state):
         state = radda_step(state)
-        D = truncate_factors(state.D, truncate_tol)
-        P = truncate_factors(state.P, truncate_tol)
-        return replace(state, D=D, P=P, chol=None)
+        D = truncate_factors(_joined(state.D), truncate_tol)
+        P = truncate_factors(_joined(state.P), truncate_tol)
+        return replace(state, D=(D,), P=(P,), chol=None)
 
     qn = _qnorm_of(problem)
     state, report = drive(
@@ -353,4 +410,4 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         truncated_step if truncate_tol > 0.0 else radda_step,
         lambda s: residual_lowrank(problem, s.D, qn),
         lambda s: (s.rank_x, s.rank_y), tol, maxit)
-    return LowRankSymmetric(state.D), report
+    return LowRankSymmetric(_joined(state.D)), report

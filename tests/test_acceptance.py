@@ -66,7 +66,9 @@ def dense_state(problem, alpha):
     return init_dense(build_shifted(problem, alpha))
 
 
-def reconstruct(F):
+def reconstruct(blocks):
+    """F F' for the factor F whose column blocks a state holds."""
+    F = np.hstack(blocks)
     return F @ F.T
 
 

@@ -330,14 +330,15 @@ class TestInitLowRank:
         op = build_shifted(p, 1.0)
         init = init_lowrank(op)
         # D0 = P0 = -0.5 scaled by sqrt(2a / (1 + W0^2)) = sqrt(1.6)
-        assert init.D[0, 0] == pytest.approx(-np.sqrt(0.4), abs=1e-15)
-        assert init.P[0, 0] == pytest.approx(-np.sqrt(0.4), abs=1e-15)
-        x0 = (init.D @ init.D.T)[0, 0]
+        assert init.D[0][0, 0] == pytest.approx(-np.sqrt(0.4), abs=1e-15)
+        assert init.P[0][0, 0] == pytest.approx(-np.sqrt(0.4), abs=1e-15)
+        x0 = (init.D[0] @ init.D[0].T)[0, 0]
         assert x0 == pytest.approx(0.4, abs=1e-15)
         # the k = 0 iterate: no chain corrections, factors that no step
         # has appended to, and the operator's own factors, not copies
         assert (init.k, len(init.chain), init.chol) == (0, 0, None)
-        assert init.D is op.D and init.P is op.P and init.base is op
+        assert len(init.D) == len(init.P) == 1
+        assert init.D[0] is op.D and init.P[0] is op.P and init.base is op
 
     def test_cross_blocks_agree_both_routes(self):
         # D0'B and C P0 are the same matrix reached through the forward
@@ -352,9 +353,10 @@ class TestInitLowRank:
         p = make_example1(16)
         init = init_lowrank(build_shifted(p, 17.0))
         dense = reference_start(p, 17.0)
-        np.testing.assert_allclose(init.D @ init.D.T, dense.X,
+        (D,), (P,) = init.D, init.P
+        np.testing.assert_allclose(D @ D.T, dense.X,
                                    atol=1e-14 * np.abs(dense.X).max())
-        np.testing.assert_allclose(init.P @ init.P.T, dense.Y,
+        np.testing.assert_allclose(P @ P.T, dense.Y,
                                    atol=1e-14 * np.abs(dense.Y).max())
 
     def test_random_starts_match_dense_init(self):
@@ -366,10 +368,11 @@ class TestInitLowRank:
             alpha = choose_alpha(p)
             init = init_lowrank(build_shifted(p, alpha))
             dense = reference_start(p, alpha)
-            assert init.D.shape == (p.n, p.p) and init.P.shape == (p.n, p.m)
-            np.testing.assert_allclose(init.D @ init.D.T, dense.X, rtol=0.0,
+            (D,), (P,) = init.D, init.P
+            assert D.shape == (p.n, p.p) and P.shape == (p.n, p.m)
+            np.testing.assert_allclose(D @ D.T, dense.X, rtol=0.0,
                                        atol=1e-13 * np.abs(dense.X).max())
-            np.testing.assert_allclose(init.P @ init.P.T, dense.Y, rtol=0.0,
+            np.testing.assert_allclose(P @ P.T, dense.Y, rtol=0.0,
                                        atol=1e-13 * np.abs(dense.Y).max())
 
 

@@ -418,6 +418,31 @@ class TestCompare:
         assert len(doc["rows"]) == 6
         assert doc["alpha"] == radda.choose_alpha(uncontrollable_problem())
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_iterate_is_exit_3(self, capsys, tmp_path, fmt):
+        # as in run: rows k = 0 ... 8, then the step from k = 8 overflows.
+        # The k = 8 deviation overflows first; it warns nothing, and
+        # max_deviation shows it instead of skipping it
+        path = tmp_path / "no_stabilizing.json"
+        save_problem(path, no_stabilizing_problem())
+        code, out, err = run_main(
+            capsys, ["compare", "--problem", str(path), "--format", fmt])
+        assert code == EXIT_BREAKDOWN
+        if fmt == "csv":
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            ks = [int(row[0]) for row in rows]
+            devs = [float(row[3]) for row in rows]
+        else:
+            doc = json.loads(out)
+            ks = [row["k"] for row in doc["rows"]]
+            devs = [row["x_deviation"] for row in doc["rows"]]
+            assert not np.isfinite(doc["max_deviation"])
+        assert ks == list(range(9))
+        assert all(dev <= cli.EQUIVALENCE_THRESHOLD for dev in devs[:8])
+        assert not np.isfinite(devs[8])
+        assert "max_deviation=nan" in err
+
     def test_json_alpha_matches_run(self, capsys):
         source = ["--example", "1", "--n", "64", "--format", "json"]
         code, out, _ = run_main(capsys, ["compare"] + source)

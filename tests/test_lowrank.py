@@ -3,6 +3,7 @@ truncation, and the solve driver."""
 
 import importlib
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from radda.dense import adda_step_dense, init_dense
 from radda.lowrank import (RaddaState, apply_ahat, init_lowrank, radda_step,
                            truncate_factors)
 from radda.problems import qnorm
+from verification import reference_residual_lowrank
 
 SQRT2 = np.sqrt(2.0)
 
@@ -39,11 +41,13 @@ def rotate(D, rng):
 
 
 def reconstruct_x(state):
-    return state.D @ state.D.T
+    D = np.hstack(state.D)
+    return D @ D.T
 
 
 def reconstruct_y(state):
-    return state.P @ state.P.T
+    P = np.hstack(state.P)
+    return P @ P.T
 
 
 class TestStepAlgebra:
@@ -55,9 +59,9 @@ class TestStepAlgebra:
         assert x1 == pytest.approx(0.41379310344827586, abs=1e-14)
         # ahat0 = 0.2 and W = D'P = 0.4, so the appended column is
         # 0.2 D / sqrt(1 + W^2), reconstructing the same X1 as the dense step
-        assert s1.D[0, 0] == pytest.approx(-np.sqrt(0.4), abs=1e-15)
-        assert s1.D[0, 1] == pytest.approx(-0.2 * np.sqrt(0.4 / 1.16),
-                                           abs=1e-15)
+        assert s1.D[0][0, 0] == pytest.approx(-np.sqrt(0.4), abs=1e-15)
+        assert s1.D[1][0, 0] == pytest.approx(-0.2 * np.sqrt(0.4 / 1.16),
+                                              abs=1e-15)
         np.testing.assert_allclose(s1.chol, [[[np.sqrt(1.16)]]] * 2,
                                    rtol=0.0, atol=1e-15)
 
@@ -67,15 +71,17 @@ class TestStepAlgebra:
         # applied to the operator images computed independently here
         p = make_example2(18)
         s = radda_step(lowrank_state(p, 18.0))  # k=1 state, width 2
-        W = s.D.T @ s.P
+        D, P = np.hstack(s.D), np.hstack(s.P)
+        W = D.T @ P
         r = s.rank_x
-        AD = apply_ahat(s.base, s.chain, s.D, transposed=True)
-        AP = apply_ahat(s.base, s.chain, s.P)
+        AD = apply_ahat(s.base, s.chain, D, transposed=True)
+        AP = apply_ahat(s.base, s.chain, P)
         eye = np.eye(r)
         core_x = eye - W @ np.linalg.solve(eye + W.T @ W, W.T)
         core_y = eye - W.T @ np.linalg.solve(eye + W @ W.T, W)
         s2 = radda_step(s)
-        N_x, N_y = s2.D[:, r:], s2.P[:, r:]
+        N_x, N_y = s2.D[-1], s2.P[-1]
+        assert N_x.shape[1] == N_y.shape[1] == r
         for got, want in ((N_x @ N_x.T, AD @ core_x @ AD.T),
                           (N_y @ N_y.T, AP @ core_y @ AP.T)):
             np.testing.assert_allclose(got, want, rtol=0.0,
@@ -93,7 +99,7 @@ class TestStepAlgebra:
         D[0, 0] = np.inf
         P = np.ones((3, 2))
         P[0, 1] = -1.0
-        bad = RaddaState(k=2, D=D, P=P, base=None, chain=())
+        bad = RaddaState(k=2, D=(D,), P=(P,), base=None, chain=())
         with pytest.raises(BreakdownError) as err:
             radda_step(bad)
         assert err.value.k == 2
@@ -202,8 +208,8 @@ class TestModifiedFactors:
             dn = adda_step_dense(dn)
         assert lr.chol is not None
         rng = np.random.default_rng(7)
-        D, P = rotate(lr.D, rng), rotate(lr.P, rng)
-        lr = radda_step(RaddaState(lr.k, D, P, lr.base, lr.chain))
+        D, P = rotate(np.hstack(lr.D), rng), rotate(np.hstack(lr.P), rng)
+        lr = radda_step(RaddaState(lr.k, (D,), (P,), lr.base, lr.chain))
         dn = adda_step_dense(dn)
         assert lr.rank_x == 8 * p.p and lr.rank_y == 8 * p.m
         for got, want in ((reconstruct_x(lr), dn.X), (reconstruct_y(lr), dn.Y)):
@@ -270,6 +276,93 @@ class TestResidualLowrank:
         s = lowrank_state(p, 18.0)
         qn = qnorm(p)
         assert residual_lowrank(p, s.D, qn) == residual_lowrank(p, s.D)
+
+    def test_streamed_matches_one_shot_qr(self):
+        # n = 1e5 spans four row blocks of the streamed QR; the one-shot
+        # Householder QR of the whole basis is the reference.  The two
+        # agree to 1e-10 relative, or to the 1e-13 absolute floor that both
+        # evaluations share (they differ by 3e-14 to 7e-14 at every k)
+        p = make_example2(100_000)
+        qn = qnorm(p)
+        s = lowrank_state(p, 9.0)
+        for k in range(4):
+            if k:
+                s = radda_step(s)
+            got = residual_lowrank(p, s.D, qn)
+            want = reference_residual_lowrank(p, np.hstack(s.D), qn)
+            assert abs(got - want) <= max(1e-10 * want, 1e-13), (k, got, want)
+        assert got <= 1e-12 and want <= 1e-12
+
+    def test_example1_at_scale_sees_convergence(self):
+        # W = D'B summed over row blocks, not by one dot product over all
+        # n rows: the one-shot formula read 1.056e-12 at k = 3 here and
+        # 1.054e-12 at k = 4, where a Lanczos estimate reads 8.0e-13 and
+        # 0.7-3.0e-13, so the solve ran past k = 4; maxit bounds a relapse
+        _, report = radda_solve(make_example1(200_000), maxit=4)
+        assert report.termination == "converged"
+
+    def test_blocks_equal_their_concatenation(self):
+        p = make_example2(100_000)
+        s = lowrank_state(p, 9.0)
+        for _ in range(3):
+            s = radda_step(s)
+        assert len(s.D) == 4
+        assert residual_lowrank(p, s.D) == residual_lowrank(p, np.hstack(s.D))
+
+    @pytest.mark.parametrize("p_rows, r", [(0, 3), (1, 0), (1, 6), (2, 5)])
+    def test_short_row_blocks(self, monkeypatch, p_rows, r):
+        # 8-row blocks over n = 44: the first stack is wider than tall
+        # when p + 2r > 8, and the last block has 4 rows, fewer than p + 2r
+        # whenever r > 1; p = 0 and r = 0 leave a side of the core empty
+        import radda.lowrank as lowrank_mod
+        monkeypatch.setattr(lowrank_mod, "_ROW_BLOCK", 8)
+        rng = np.random.default_rng(p_rows + 10 * r)
+        base = random_stable_problem(rng, 44, mp=2)
+        prob = CareProblem(base.A, base.B, base.C[:p_rows])
+        D = rng.standard_normal((44, r))
+        blocks = (D[:, :r // 2], D[:, r // 2:])
+        want = reference_residual_lowrank(prob, D)
+        for arg in (D, blocks):
+            got = residual_lowrank(prob, arg)
+            assert abs(got - want) <= 1e-13 * max(want, 1.0), (got, want)
+
+
+def _traced_peak_vectors(n, fn, *args, **kwargs):
+    """Peak memory that tracemalloc sees allocated during fn(*args), above
+    what was held before the call, in n-vectors of float64."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - held) / (8.0 * n)
+
+
+class TestMemory:
+    """The n-scale memory of the engine is its factors, in n-vectors on
+    example 2 at n = 1e5 (3 doublings to rank 8)."""
+
+    N = 100_000
+
+    def test_residual_holds_one_row_block(self):
+        # A'D (8 n-vectors) and one row block of the basis, 2^15 rows of
+        # p + 2r = 17 columns (5.6 n-vectors); one more n x 8 copy of the
+        # factor, or the whole basis (17 n-vectors), breaks the bound
+        p = make_example2(self.N)
+        D = np.random.default_rng(0).standard_normal((self.N, 8))
+        extra = _traced_peak_vectors(self.N, residual_lowrank, p, D)
+        assert extra <= 17.0, extra
+
+    def test_solve_peak(self):
+        # held at the end: the shifted LU and the start's D0, P0 (8), the
+        # appended blocks of D and P (7 + 7) and the chain's U_j (7); the
+        # peak adds the residual's A'D and row block.  A second copy of
+        # the final D or of its appended blocks breaks the bound
+        p = make_example2(self.N)
+        peak = _traced_peak_vectors(self.N, radda_solve, p)
+        assert peak <= 48.0, peak
 
 
 class TestTruncation:
@@ -485,6 +578,32 @@ TRACED_NAMES = {
 def test_tracer_finds_every_target():
     assert all(TRACED_NAMES.values())
     assert tracing.Tracer().missing == []
+
+
+def test_traced_run_records_every_layer(tmp_path):
+    # the benchmark's traced run at desk size: every target is called
+    # through its wrapper with the arguments the tracer reads (a base
+    # apply's block is its second argument), and the traced solve repeats
+    # the untraced history exactly
+    import radda.problems
+    import radda.serialize
+    path = tmp_path / "example1.json"
+    radda.serialize.save_problem(path, make_example1(32))
+    _, untraced = radda_solve(make_example2(64), truncate_tol=1e-13)
+    tracer = tracing.Tracer()
+    with tracer.installed("desk"):
+        problem = radda.problems.make_example2(64)
+        radda.serialize.load_problem(path)
+        _, traced = radda_solve(problem, truncate_tol=1e-13)
+        adda_solve_dense(make_example1(32))
+    layers = tracer.layers("desk")
+    assert set(layers) == {name for _, _, name, _ in tracing.TARGETS}
+    assert layers["cayley.base_apply"]["cols"] >= \
+        layers["cayley.base_apply"]["calls"] > 0
+    assert (traced.iterations, traced.residual_history,
+            traced.rank_history) == (untraced.iterations,
+                                     untraced.residual_history,
+                                     untraced.rank_history)
 
 
 def test_solvers_look_up_traced_names_at_call_time(monkeypatch):

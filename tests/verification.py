@@ -5,16 +5,21 @@ check iterates against the stabilizing solutions from the eigen-oracle and
 against the symplectic pencil structure.  dual_problem gives the oracle
 the dual equation, whose solution the iterates Y_k approach, and
 reference_start the k = 0 iterate from explicit inverses, which the tests
-of build_shifted's operator compare against.
+of build_shifted's operator compare against.  reference_residual_lowrank
+is the factored residual from one Householder QR of the whole basis,
+which the streamed residual_lowrank is checked against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from radda import CareProblem, care_oracle_small
 from radda.dense import AddaDenseState
+from radda.problems import qnorm as _qnorm_of, relative_residual, \
+    spectral_norm_sym
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,36 @@ def reference_start(problem: CareProblem, alpha: float) -> AddaDenseState:
     Y0 = 2.0 * alpha * (Aa_inv @ np.linalg.solve(Ua.T, G).T)
     return AddaDenseState(k=0, ahat=Ahat0, X=(X0 + X0.T) / 2.0,
                           Y=(Y0 + Y0.T) / 2.0)
+
+
+def reference_residual_lowrank(problem: CareProblem, D: np.ndarray,
+                               qnorm: float | None = None) -> float:
+    """Relative residual of X = D D' (D one n x r array) from the
+    triangular factor R of F = [C' | D | A'D], taken by one Householder QR
+    of the whole of F, and the core
+
+        [[ I,  0,      0 ],
+         [ 0, -W W',   I ],      W = D'B,
+         [ 0,  I,      0 ]]
+
+    between R and R'.  The same algebra as residual_lowrank, which streams
+    the rows of F instead of holding it.
+    """
+    D = np.asarray(D, dtype=float)
+    n, p = problem.n, problem.p
+    r = D.shape[1]
+    if qnorm is None:
+        qnorm = _qnorm_of(problem)
+    F = np.empty((n, p + 2 * r), order="F")
+    F[:, :p] = problem.C.T
+    F[:, p:p + r] = D
+    F[:, p + r:] = problem.A.T @ D
+    R = sla.qr(F, mode="raw", overwrite_a=True)[1]
+    R1, R2, R3 = R[:, :p], R[:, p:p + r], R[:, p + r:]
+    G = R2 @ (D.T @ problem.B)
+    M = R2 @ R3.T
+    core = R1 @ R1.T - G @ G.T + M + M.T
+    return relative_residual(spectral_norm_sym(core), qnorm)
 
 
 def _cayley(M: np.ndarray, alpha: float) -> np.ndarray:
