@@ -108,9 +108,9 @@ def cmd_run(args) -> int:
         code = EXIT_BREAKDOWN
 
     if report is not None:
-        res_at = dict(report.residual_history)
-        rows = [(k, res_at.get(k), rx, ry, 1e3 * report.wall_times[i])
-                for i, (k, rx, ry) in enumerate(report.rank_history)]
+        rows = [(k, res, rx, ry, 1e3 * t) for (k, res), (_, rx, ry), t in
+                zip(report.residual_history, report.rank_history,
+                    report.wall_times)]
         if args.fmt == "csv":
             _emit(_csv(RUN_HEADER, rows), args.out)
         else:
@@ -192,8 +192,8 @@ def cmd_sweep(args, sizes: list, alphas: list) -> int:
     Individual failures are recorded in the status column and the sweep
     keeps going.
     """
-    if not sizes:
-        _info("error: --sizes must name at least one problem size")
+    if not sizes or not alphas:
+        _info("error: --sizes and --alphas must each name at least one value")
         return EXIT_USAGE
     rows = []
     all_converged = True

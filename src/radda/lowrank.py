@@ -16,10 +16,10 @@ per side, 2^k (p_k + m_k) columns.
 
 The n-scale memory is the factors themselves.  D and P are tuples of
 column blocks, one per step, so a step appends its new blocks without
-copying the old ones, and the chain's right-hand blocks V_j are the
-blocks of D, not copies of them.  The factored residual streams the rows
-of its basis through a QR, so it holds one row block of that basis at a
-time beside A'D.
+copying the old ones; each chain correction is those two blocks and a
+small coupling, so past the shifted LU an untruncated state holds only
+blocks of D and P.  The factored residual streams the rows of its basis
+through a QR, so it holds one row block of that basis beside A'D.
 
 drive is the one run path of both engines and of the CLI's compare: it
 picks the shift, builds the k = 0 operator and doubles under the shared
@@ -46,10 +46,11 @@ def apply_ahat(base: BaseDoublingOperator, chain: tuple, Z: np.ndarray,
     block or an n-vector.
 
     Level j acts as the square of level j-1 plus a thin correction
-    U_j V_j', with chain[j-1] = (U_j, V_j) holding n x p_{j-1} blocks and
-    level 0 the base operator.  The recursion
-    A_j Z = A_{j-1}(A_{j-1} Z) + U_j (V_j' Z)  costs 2^k base applies of
-    the full width of Z, k = len(chain), which stays cheap for the small
+    F_j K_j V_j', with chain[j-1] = (F_j, K_j, V_j): F_j and V_j the blocks
+    step j appended to P and D, K_j its small m x p coupling, and level 0
+    the base operator.  The recursion
+    A_j Z = A_{j-1}(A_{j-1} Z) + F_j (K_j (V_j' Z))  costs 2^k base applies
+    of the full width of Z, k = len(chain), which stays cheap for the small
     iteration counts the quadratic convergence produces.
     """
     return _apply_level(base, chain, len(chain), Z, transposed)
@@ -59,13 +60,13 @@ def _apply_level(base: BaseDoublingOperator, chain: tuple, j: int,
                  Z: np.ndarray, transposed: bool) -> np.ndarray:
     if j == 0:
         return base.apply_t(Z) if transposed else base.apply(Z)
-    U, V = chain[j - 1]
+    F, K, V = chain[j - 1]
     inner = _apply_level(base, chain, j - 1,
                          _apply_level(base, chain, j - 1, Z, transposed),
                          transposed)
     if transposed:
-        return inner + V @ (U.T @ Z)
-    return inner + U @ (V.T @ Z)
+        return inner + V @ (K.T @ (F.T @ Z))
+    return inner + F @ (K @ (V.T @ Z))
 
 
 @dataclass(frozen=True)
@@ -78,17 +79,18 @@ class RaddaState:
     the base operator's single blocks).
 
     The operator ahat_k is the base operator followed by chain, the
-    tuple of k thin corrections (U_j, V_j) that apply_ahat reads; a step
-    appends one and never rebuilds the base.
+    tuple of k thin corrections (F_j, K_j, V_j) that apply_ahat reads; a
+    step appends one and never rebuilds the base.  F_j and V_j are the
+    blocks step j appended to P and D, held once (chain[j-1][0] is P[j]
+    and chain[j-1][2] is D[j] until truncation rebuilds the factors).
 
     chol holds the lower Cholesky factors (L_x, L_y) of the step that
     produced this state, and marks factors that are exactly that step's
-    factors followed by the blocks it appended: D = (*D_{k-1}, V_k) with
-    V_k the right block of the last chain correction, held once
-    (state.D[-1] is state.chain[-1][1]), and P = (*P_{k-1},
-    (ahat_{k-1} P_{k-1}) L_y^{-T}).  radda_step sets it and the next step
-    uses it to halve the operator applies; any change of the factors
-    (truncation, a rotation, a hand-built state) must leave it None.
+    factors followed by its chain correction's outer blocks,
+    P = (*P_{k-1}, F_k) and D = (*D_{k-1}, V_k).  radda_step sets it and
+    the next step uses it to halve the operator applies; any change of
+    the factors (truncation, a rotation, a hand-built state) must leave
+    it None.
     """
 
     k: int
@@ -111,11 +113,6 @@ def _joined(blocks: tuple) -> np.ndarray:
     """The concatenation of column blocks; a single block is returned
     as-is, not copied."""
     return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
-
-
-def _cross(Z: np.ndarray, blocks: tuple) -> np.ndarray:
-    """Z' [blocks], one small product per block."""
-    return np.hstack([Z.T @ block for block in blocks])
 
 
 def init_lowrank(op: BaseDoublingOperator) -> RaddaState:
@@ -155,27 +152,28 @@ def radda_step(state: RaddaState) -> RaddaState:
 
         N_x = (ahat'D) L_x^{-T},      N_y = (ahat P) L_y^{-T},
 
-    and the operator gains the thin correction -N_y (L_y^{-1} W' L_x) N_x',
-    the new columns times an m_k x p_k matrix, so it needs no apply of its
-    own; its right block is N_x itself.  The old blocks are kept, not
-    copied.  Both Gram matrices have every eigenvalue >= 1: a
-    factorization fails only once W is so large that rounding swamps the
-    identity, and that, a non-finite W or Gram matrix, or a non-finite
-    operator apply raises BreakdownError.
+    and the operator gains the thin correction N_y K N_x', with the
+    m_k x p_k coupling K = -L_y^{-1} W' L_x, so it needs no apply of its
+    own: the chain holds (N_y, K, N_x), the appended blocks themselves.
+    The old blocks are kept, not copied.  Both Gram matrices have every
+    eigenvalue >= 1: a factorization fails only once W is so large that
+    rounding swamps the identity, and that, a non-finite W or Gram
+    matrix, or a non-finite operator apply raises BreakdownError.
 
-    On a doubled state, with prev = ahat_{k-1}, (U_k, V_k) the last
-    correction, (M_x, M_y) = chol the last step's factors and F = P[-1]
-    the block the last step appended to P,
+    On a doubled state, with prev = ahat_{k-1}, (F, K_k, V) the last
+    correction (F = P[-1], V = D[-1]) and (M_x, M_y) = chol the last
+    step's factors,
 
-        ahat' D = [S M_x', prev' S] + V_k (U_k' D),      S = prev' V_k,
-        ahat P  = [T M_y', prev T]  + U_k (V_k' P),      T = prev F,
+        ahat' D = [S M_x', prev' S] + V K_k' (D'F)',      S = prev' V,
+        ahat P  = [T M_y', prev T]  + F K_k (V'P),        T = prev F,
 
     so each side takes two depth-(k-1) applies of half width in place of
-    one depth-k apply.  Other states apply the depth-k chain directly, to
-    the factors concatenated once.
+    one depth-k apply, and D'F and V'P are W's last column and row blocks.
+    Other states apply the depth-k chain directly, to the factors
+    concatenated once.
     """
     D, P, k = state.D, state.P, state.k
-    W = np.vstack([_cross(block, P) for block in D])
+    W = np.block([[d.T @ f for f in P] for d in D])
     p_k, m_k = W.shape
     if not np.all(np.isfinite(W)):
         raise BreakdownError(f"D'P is non-finite at iteration {k}", k=k)
@@ -194,14 +192,14 @@ def radda_step(state: RaddaState) -> RaddaState:
     with np.errstate(over="ignore", invalid="ignore"):
         if state.chol is not None:
             prev = chain[:-1]
-            U_k, V_k = chain[-1]
+            F, K_k, V = chain[-1]
             prev_x, prev_y = state.chol
-            N_x = _first_two_powers(base, prev, V_k, prev_x,
-                                    transposed=True)
-            N_x += V_k @ _cross(U_k, D)
-            N_y = _first_two_powers(base, prev, P[-1], prev_y,
-                                    transposed=False)
-            N_y += U_k @ _cross(V_k, P)
+            # explicit offsets: a zero-width block gives an empty slice
+            row, col = p_k - V.shape[1], m_k - F.shape[1]
+            N_x = _first_two_powers(base, prev, V, prev_x, transposed=True)
+            N_x += V @ (K_k.T @ W[:, col:].T)
+            N_y = _first_two_powers(base, prev, F, prev_y, transposed=False)
+            N_y += F @ (K_k @ W[row:])
         else:
             N_x = apply_ahat(base, chain, _joined(D), transposed=True)
             N_y = apply_ahat(base, chain, _joined(P))
@@ -210,13 +208,13 @@ def radda_step(state: RaddaState) -> RaddaState:
             f"an operator apply is non-finite at iteration {k}", k=k)
     N_x = _times_inv_lt(N_x, L_x)
     N_y = _times_inv_lt(N_y, L_y)
-    U = N_y @ sla.solve_triangular(L_y, W.T @ L_x, lower=True)
+    K = sla.solve_triangular(L_y, W.T @ L_x, lower=True)
     return RaddaState(
         k=k + 1,
         D=(*D, N_x),
         P=(*P, N_y),
         base=base,
-        chain=chain + ((np.negative(U, out=U), N_x),),
+        chain=chain + ((N_y, np.negative(K, out=K), N_x),),
         chol=(L_x, L_y),
     )
 
@@ -410,4 +408,6 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         truncated_step if truncate_tol > 0.0 else radda_step,
         lambda s: residual_lowrank(problem, s.D, qn),
         lambda s: (s.rank_x, s.rank_y), tol, maxit)
-    return LowRankSymmetric(_joined(state.D)), report
+    D = state.D
+    del state   # the operator and P go first, for the join to reuse
+    return LowRankSymmetric(_joined(D)), report

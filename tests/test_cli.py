@@ -497,9 +497,13 @@ class TestSweep:
         assert "error:ValueError" in lines[1]
         assert lines[2].endswith("converged")
 
-    def test_empty_sizes(self, capsys):
-        code, _, _ = run_main(
-            capsys, ["sweep", "--example", "1", "--sizes", ""])
+    @pytest.mark.parametrize("flags", [
+        ["--sizes", ""],
+        ["--sizes", "32", "--alphas", ","],
+        ["--sizes", "32", "--alphas", ""],
+    ], ids=["sizes", "alphas-comma", "alphas-empty"])
+    def test_empty_sizes(self, capsys, flags):
+        code, _, _ = run_main(capsys, ["sweep", "--example", "1", *flags])
         assert code == EXIT_USAGE
 
     def test_bad_sizes_and_alphas(self, capsys):

@@ -356,13 +356,37 @@ class TestMemory:
         assert extra <= 17.0, extra
 
     def test_solve_peak(self):
-        # held at the end: the shifted LU and the start's D0, P0 (8), the
-        # appended blocks of D and P (7 + 7) and the chain's U_j (7); the
-        # peak adds the residual's A'D and row block.  A second copy of
-        # the final D or of its appended blocks breaks the bound
+        # held at the end: the shifted LU and the start's D0, P0 (8) and
+        # the appended blocks of D and P (7 + 7), which the chain shares;
+        # the peak adds the residual's A'D and row block.  A second copy
+        # of the final D or of its appended blocks, such as the products
+        # F_j K_j of the chain (7), breaks the bound
         p = make_example2(self.N)
         peak = _traced_peak_vectors(self.N, radda_solve, p)
-        assert peak <= 48.0, peak
+        assert peak <= 40.0, peak
+
+    @pytest.mark.parametrize("make", [lambda: make_example2(64),
+                                      uneven_problem],
+                             ids=["example2", "uneven"])
+    def test_chain_holds_the_factor_blocks(self, monkeypatch, make):
+        # correction j of every untruncated state is (F_j, K_j, V_j) with
+        # F_j and V_j the very blocks step j appended to P and D, and K_j
+        # the small coupling between them
+        import radda.lowrank as lowrank_mod
+        states = []
+
+        def recorded(state):
+            states.append(radda_step(state))
+            return states[-1]
+
+        monkeypatch.setattr(lowrank_mod, "radda_step", recorded)
+        _, report = lowrank_mod.radda_solve(make())
+        assert len(states) == report.iterations == 4
+        for s in states:
+            assert len(s.chain) == s.k == len(s.D) - 1 == len(s.P) - 1
+            for j, (F, K, V) in enumerate(s.chain):
+                assert F is s.P[j + 1] and V is s.D[j + 1]
+                assert K.shape == (s.P[j + 1].shape[1], s.D[j + 1].shape[1])
 
 
 class TestTruncation:
