@@ -122,11 +122,13 @@ def cmd_run(args) -> int:
                 "tol": args.tol,
                 "iterations": report.iterations,
                 "termination": report.termination,
+                "returned": report.returned,
             }
             _emit(_json_doc(meta, RUN_HEADER.split(","), rows), args.out)
         final = report.residual_history[-1][1] if report.residual_history else float("nan")
         _info(f"{args.mode}: n={problem.n} iterations={report.iterations} "
               f"residual={final:.3e} termination={report.termination} "
+              f"returned={report.returned} "
               f"time={sum(report.wall_times):.3f}s")
     return code
 
@@ -256,8 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--mode", choices=("lowrank", "dense"),
                         default="lowrank", help="solver selection")
     engine.add_argument("--truncate-tol", type=float, default=0.0,
-                        help="factor recompression cutoff (0 = off; "
-                             "lowrank mode only)")
+                        help="factor recompression cutoff in [0, 1) "
+                             "(0 = off; lowrank mode only)")
 
     sub.add_parser("run", parents=[one_problem, engine, common],
                    help="single solve, per-iteration records")
@@ -285,8 +287,9 @@ def main(argv=None) -> int:
         _info("error: --n only applies to the built-in --example families")
         return EXIT_USAGE
     if (not args.tol > 0 or args.maxit < 1
-            or not getattr(args, "truncate_tol", 0.0) >= 0):
-        _info("error: --tol must be > 0, --maxit >= 1, --truncate-tol >= 0")
+            or not 0 <= getattr(args, "truncate_tol", 0.0) < 1):
+        _info("error: --tol must be > 0, --maxit >= 1, --truncate-tol in "
+              "[0, 1)")
         return EXIT_USAGE
     if getattr(args, "mode", None) == "dense" and args.truncate_tol > 0:
         _info("error: --truncate-tol applies to --mode lowrank only; the "

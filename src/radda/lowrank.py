@@ -24,15 +24,32 @@ through a QR, so it holds one row block of that basis beside A'D.
 drive is the one run path of both engines and of the CLI's compare: it
 picks the shift, builds the k = 0 operator and doubles under the shared
 stopping rule.
+
+radda_solve adds a Galerkin finish.  range(D_k) is a rational Krylov
+space with its pole repeated at the shift, and the Galerkin solution of
+the Riccati equation projected on [C', D_k, A'D_k], the projection step
+of RKSM and of extended block Arnoldi, often meets tol a doubling or
+more before the iterate does.  It is tried once per solve: at the first
+iterate whose residual lies in (tol, 1e4 tol], and only if that basis has
+p + 2r <= n/4 columns.  The factor it returns replaces the iterate when
+its own factored residual is at most tol; otherwise the doubling goes
+on.  On the 32 x 32 convection-diffusion grid (tol 1e-10, truncation
+1e-13) it ends the solve at k = 6 in place of 7 and halves its time
+(0.24 -> 0.12 s, one BLAS thread) at rank 21 (20 or 21 before); at
+N = 16 it fires on 7 of 8 seeds.  The paper's second family at n = 3e5 (k = 2 residual
+2.2e-7) and dense n = 256 instances (132 basis columns at k = 4) never
+reach it, nor does the first family at n = 1e5 or 2e5.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import solve_continuous_are
 
 from .cayley import BaseDoublingOperator, _times_inv_lt, build_shifted, \
     choose_alpha
@@ -289,6 +306,12 @@ def residual_lowrank(problem: CareProblem, D,
     return relative_residual(spectral_norm_sym(core), qnorm)
 
 
+def _check_truncate_tol(tol: float) -> None:
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(
+            f"truncation tolerance must lie in [0, 1), got {tol}")
+
+
 def truncate_factors(D: np.ndarray, tol: float) -> np.ndarray:
     """Rank-revealing recompression of a Cholesky factor D of X = D D'.
 
@@ -296,9 +319,10 @@ def truncate_factors(D: np.ndarray, tol: float) -> np.ndarray:
     s <= sqrt(tol) * s_max: the eigenvalues s^2 of X at most tol * ||X||_2
     go, so X moves by at most tol * ||X||_2 in spectral norm.  tol = 0
     passes D through untouched, and an empty factor is returned as-is.
+    ValueError unless 0 <= tol < 1: a cutoff of 1 or more would drop
+    every direction.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"truncation tolerance must be >= 0, got {tol}")
+    _check_truncate_tol(tol)
     if tol == 0.0 or D.shape[1] == 0:
         return D
     Q, R = sla.qr(D, mode="economic")
@@ -308,7 +332,7 @@ def truncate_factors(D: np.ndarray, tol: float) -> np.ndarray:
 
 
 def drive(problem: CareProblem, alpha: float | None, start, step,
-          residual, ranks, tol: float, maxit: int):
+          residual, ranks, tol: float, maxit: int, finish=None):
     """One doubling solve under the shared stopping rule.
 
     Takes the shift a = alpha, or choose_alpha(problem) when alpha is
@@ -320,6 +344,14 @@ def drive(problem: CareProblem, alpha: float | None, start, step,
     BreakdownError out of a step, or a residual that is not finite, leaves
     with the partial report attached and termination "breakdown".
     ValueError unless tol > 0 and maxit >= 1.
+
+    finish, when given, is called as finish(state, res) on each iterate
+    whose residual res is above tol.  It returns None to go on doubling,
+    or (solution, its residual) with that residual at most tol, which
+    ends the run: the solution is returned in place of the iterate, its
+    row is added at the iterate's k and report.returned reads "galerkin".
+    The time of an attempt that returns None counts towards the next
+    step's row.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -329,6 +361,13 @@ def drive(problem: CareProblem, alpha: float | None, start, step,
     a = choose_alpha(problem) if alpha is None else float(alpha)
     state = start(build_shifted(problem, a))
     report = SolveReport(alpha=a, termination="max-iterations")
+
+    def record(k, res):
+        report.residual_history.append((k, res))
+        report.wall_times.append(perf_counter() - t0)
+        report.rank_history.append((k, *ranks(state)))
+        report.iterations = k
+
     try:
         for k in range(maxit + 1):
             if k:
@@ -337,19 +376,74 @@ def drive(problem: CareProblem, alpha: float | None, start, step,
             if not np.isfinite(res):
                 raise BreakdownError(
                     f"the residual is not finite at iteration {k}", k=k)
-            report.residual_history.append((k, res))
-            report.wall_times.append(perf_counter() - t0)
-            report.rank_history.append((k, *ranks(state)))
-            report.iterations = k
+            record(k, res)
             if res <= tol:
                 report.termination = "converged"
                 break
             t0 = perf_counter()
+            finished = None if finish is None else finish(state, res)
+            if finished is not None:
+                state, res = finished
+                record(k, res)
+                report.termination = "converged"
+                report.returned = "galerkin"
+                break
     except BreakdownError as exc:
         report.termination = "breakdown"
         exc.report = report
         raise
     return state, report
+
+
+#: the Galerkin finish is tried at the first iterate whose residual lies
+#: in (tol, _GALERKIN_WINDOW * tol]
+_GALERKIN_WINDOW = 1e4
+#: relative cutoff of the rank-revealing QR of the Galerkin basis
+_BASIS_CUTOFF = 1e-13
+
+
+def _galerkin_factor(problem: CareProblem, D, cutoff: float):
+    """Cholesky factor of the Galerkin solution of the Riccati equation on
+    the span of [C', D, A'D], or None when the small equation fails.
+
+    D is a factor or a sequence of its column blocks.  The basis columns
+    are scaled to unit length and orthonormalized by a column-pivoted QR
+    that keeps the directions whose diagonal entry exceeds _BASIS_CUTOFF
+    of the first, giving Q.  The projected equation with coefficients
+    (Q'AQ, Q'B, CQ) is solved by scipy's solve_continuous_are; a
+    LinAlgError, a LinAlgWarning, a floating-point error or a non-finite
+    Y inside it makes the attempt fail, with no warning left behind.  The
+    factor is Q V diag(w)^(1/2) over the eigenpairs (w, V) of Y with
+    w > cutoff * max(w), a cutoff at rounding level when cutoff is 0.
+    """
+    blocks = (D,) if isinstance(D, np.ndarray) else tuple(D)
+    A, B, C = problem.A, problem.B, problem.C
+    if B.shape[1] == 0:
+        B = np.zeros((problem.n, 1))    # the same equation, as scipy takes it
+    basis = np.hstack([C.T, *blocks, *(A.T @ block for block in blocks)])
+    norms = np.linalg.norm(basis, axis=0)
+    basis = basis[:, norms > 0.0] / norms[norms > 0.0]
+    Q, R, _ = sla.qr(basis, mode="economic", pivoting=True)
+    diag = np.abs(np.diagonal(R))
+    Q = Q[:, :np.count_nonzero(diag > _BASIS_CUTOFF * diag[0])]
+    CQ = C @ Q
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", sla.LinAlgWarning)
+            with np.errstate(over="raise", invalid="raise",
+                             divide="raise"):
+                Y = solve_continuous_are(Q.T @ (A @ Q), Q.T @ B,
+                                         CQ.T @ CQ, np.eye(B.shape[1]))
+    except (ValueError, FloatingPointError, np.linalg.LinAlgError,
+            sla.LinAlgWarning):
+        return None
+    if not np.all(np.isfinite(Y)):
+        return None
+    w, V = sla.eigh(Y)
+    if cutoff == 0.0:
+        cutoff = len(w) * np.finfo(float).eps
+    keep = w > cutoff * w[-1]
+    return Q @ (V[:, keep] * np.sqrt(w[keep]))
 
 
 def radda_solve(problem: CareProblem, *, alpha: float | None = None,
@@ -371,18 +465,24 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         Iteration budget; exceeding it returns with termination
         "max-iterations" rather than raising.
     truncate_tol : float
-        Relative eigenvalue cutoff for per-step factor recompression.
-        0 (default) disables truncation and the factor widths double
-        exactly each step.
+        Relative eigenvalue cutoff for per-step factor recompression, in
+        [0, 1).  0 (default) disables truncation and the factor widths
+        double exactly each step.  It also cuts the eigenvalues of the
+        Galerkin finish's small solution (rounding level when 0).
 
     Returns
     -------
     (LowRankSymmetric, SolveReport)
         The Cholesky factor F of the solution X = F F' and the run
-        bookkeeping.
+        bookkeeping.  F is the last iterate's D, or, when the Galerkin
+        finish (see the module docstring) passed tol, the factor of the
+        Galerkin solution on that iterate's basis; report.returned says
+        which ("iterate" or "galerkin").
 
     Raises
     ------
+    ValueError
+        unless tol > 0, maxit >= 1 and 0 <= truncate_tol < 1.
     ShiftSingularError
         if A - alpha I is singular or gives a start that is not finite
         (for the default shift: if no rung of the search is usable).
@@ -392,9 +492,7 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         residual overflows mid-run; the exception carries the partial
         report in .report.
     """
-    if not truncate_tol >= 0.0:
-        raise ValueError(
-            f"truncation tolerance must be >= 0, got {truncate_tol}")
+    _check_truncate_tol(truncate_tol)
 
     def truncated_step(state):
         state = radda_step(state)
@@ -403,11 +501,32 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         return replace(state, D=(D,), P=(P,), chol=None)
 
     qn = _qnorm_of(problem)
+    tried = False
+
+    def finish(state, res):
+        # one attempt, at the first iterate inside the window, while the
+        # basis [C', D, A'D] is narrow next to n
+        nonlocal tried
+        if tried or not res <= _GALERKIN_WINDOW * tol:
+            return None
+        tried = True
+        if problem.p + 2 * state.rank_x > problem.n / 4:
+            return None
+        F = _galerkin_factor(problem, state.D, truncate_tol)
+        if F is None:
+            return None
+        res_f = residual_lowrank(problem, F, qn)
+        if not res_f <= tol:
+            return None
+        # the state drive returns, never stepped: its D is the Galerkin
+        # factor, its ranks are the final row's
+        return replace(state, D=(F,), chol=None), res_f
+
     state, report = drive(
         problem, alpha, init_lowrank,
         truncated_step if truncate_tol > 0.0 else radda_step,
         lambda s: residual_lowrank(problem, s.D, qn),
-        lambda s: (s.rank_x, s.rank_y), tol, maxit)
+        lambda s: (s.rank_x, s.rank_y), tol, maxit, finish)
     D = state.D
     del state   # the operator and P go first, for the join to reuse
     return LowRankSymmetric(_joined(D)), report

@@ -136,6 +136,14 @@ class SolveReport:
     residual and wall_times[k] covers step k plus its residual check.
     termination is one of "converged", "max-iterations", "breakdown".
     alpha is the shift the solve used.
+
+    returned names what the solve handed back: "iterate", the last
+    doubling iterate, or "galerkin", the low-rank engine's Galerkin
+    finish on that iterate's basis.  A Galerkin finish adds one final row
+    at the same k to all three lists: its residual, the width of the
+    returned factor beside the iterate's Y width, and the time of the
+    finish.  The last residual is then that of the returned solution,
+    and iterations stays the iterate's k.
     """
 
     alpha: float | None = None
@@ -144,6 +152,7 @@ class SolveReport:
     rank_history: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
     termination: str = "converged"
+    returned: str = "iterate"
 
 
 def make_example1(n: int) -> CareProblem:

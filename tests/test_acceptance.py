@@ -252,7 +252,13 @@ def test_criterion_09_rank_law():
         runs.append((problem.p, problem.m, report))
     assert len(runs) >= 3
     for p, m, report in runs:
-        for k, rank_x, rank_y in report.rank_history:
+        # the law is the iterates'; a Galerkin finish's final row holds
+        # the width of the factor it returned
+        finished = report.returned == "galerkin"
+        assert len(report.rank_history) == report.iterations + 1 + finished
+        iterates = report.rank_history[:report.iterations + 1]
+        assert [k for k, _, _ in iterates] == list(range(len(iterates)))
+        for k, rank_x, rank_y in iterates:
             assert rank_x == p * 2 ** k, (k, rank_x, p)
             assert rank_y == m * 2 ** k, (k, rank_y, m)
 

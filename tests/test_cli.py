@@ -19,8 +19,9 @@ import pytest
 import scipy.sparse as sp
 
 import radda
-from conftest import (no_stabilizing_problem, tiny_norm_problem,
-                      uncontrollable_problem, unstable_problem)
+from conftest import (convection_diffusion_problem, no_stabilizing_problem,
+                      tiny_norm_problem, uncontrollable_problem,
+                      unstable_problem)
 from radda import SingularUpdateError, cli
 from radda.cli import (COMPARE_HEADER, EXIT_BREAKDOWN, EXIT_EQUIVALENCE,
                        EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, RUN_HEADER,
@@ -75,8 +76,29 @@ class TestRun:
         assert doc["n"] == 32
         assert doc["termination"] == "converged"
         assert doc["iterations"] == len(doc["rows"]) - 1
+        assert doc["returned"] == "iterate"
         for row in doc["rows"]:
             assert set(row) == {"k", "res", "rank_x", "rank_y", "wall_ms"}
+
+    def test_json_reports_galerkin_finish(self, capsys, tmp_path):
+        # the finish's row follows the iterate's at the same k, and the
+        # summary line reads the returned solution's residual
+        path = tmp_path / "grid.json"
+        save_problem(path, convection_diffusion_problem(
+            np.random.default_rng(0), 16))
+        code, out, err = run_main(
+            capsys, ["run", "--problem", str(path), "--tol", "1e-10",
+                     "--truncate-tol", "1e-13", "--format", "json"])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["returned"] == "galerkin"
+        assert doc["termination"] == "converged"
+        assert [row["k"] for row in doc["rows"]] == [0, 1, 2, 3, 4, 5, 5]
+        assert doc["iterations"] == 5
+        final = doc["rows"][-1]["res"]
+        assert final <= 1e-10
+        assert f"residual={final:.3e}" in err
+        assert "returned=galerkin" in err
 
     def test_json_reports_default_shift(self, capsys):
         code, out, _ = run_main(
@@ -296,6 +318,12 @@ class TestUsageErrors:
         for argv in (["run", "--example", "1", "--tol", "0"],
                      ["run", "--example", "1", "--maxit", "0"],
                      ["run", "--example", "1", "--truncate-tol", "-1"],
+                     # a cutoff of 1 or more truncates every factor to
+                     # width 0; --maxit bounds the run should it be accepted
+                     ["run", "--example", "1", "--maxit", "2",
+                      "--truncate-tol", "1"],
+                     ["run", "--example", "1", "--maxit", "2",
+                      "--truncate-tol", "inf"],
                      # --maxit bounds the run should a NaN be accepted
                      ["run", "--example", "1", "--maxit", "2",
                       "--tol", "nan"],

@@ -4,14 +4,15 @@ truncation, and the solve driver."""
 import importlib
 import importlib.util
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import random_stable_problem, scalar_problem, \
-    uncontrollable_problem, uneven_problem, unstable_problem
+from conftest import convection_diffusion_problem, random_stable_problem, \
+    scalar_problem, uncontrollable_problem, uneven_problem, unstable_problem
 from radda import (BreakdownError, CareProblem, adda_solve_dense,
                    care_oracle_small, choose_alpha, make_example1,
                    make_example2, radda_solve, residual_dense,
@@ -191,6 +192,20 @@ class TestBaseSolveColumns:
         steps = report.rank_history[:-1]
         assert cols[0] == sum(2 ** k * (rx + ry) for k, rx, ry in steps)
         assert cols[0] == 42       # two thirds of the 63 a third apply gave
+
+    def test_galerkin_finished_run(self, cols):
+        # the finish makes no base apply, so the columns are those of the
+        # doublings up to the iterate it finishes: five doublings, where
+        # the iterate alone needs six and 1,754 columns
+        p = convection_diffusion_problem(np.random.default_rng(0), 16)
+        alpha = choose_alpha(p)
+        cols[0] = 0
+        _, report = radda_solve(p, alpha=alpha, tol=1e-10,
+                                truncate_tol=1e-13)
+        assert report.returned == "galerkin"
+        steps = report.rank_history[:-2]
+        assert cols[0] == sum(2 ** k * (rx + ry) for k, rx, ry in steps)
+        assert cols[0] == 666
 
 
 class TestModifiedFactors:
@@ -430,6 +445,12 @@ class TestTruncation:
         with pytest.raises(ValueError):
             truncate_factors(np.ones((3, 1)), np.nan)
 
+    @pytest.mark.parametrize("tol", [1.0, 2.0, np.inf])
+    def test_tolerance_of_one_or_more_rejected(self, tol):
+        # a cutoff of 1 or more would truncate every factor to width 0
+        with pytest.raises(ValueError, match="0, 1"):
+            truncate_factors(np.ones((3, 1)), tol)
+
 
 class TestSolve:
     def test_scalar_limit(self):
@@ -498,6 +519,15 @@ class TestSolve:
             with pytest.raises(ValueError):
                 radda_solve(p, **bad)
 
+    @pytest.mark.parametrize("truncate_tol", [1.0, np.inf])
+    def test_truncation_of_everything_rejected(self, truncate_tol):
+        # a cutoff of 1 or more leaves width 0 after every step, so the
+        # residual reads 1.0 while each step costs 2^k base applies;
+        # maxit = 2 bounds the run should it be accepted
+        with pytest.raises(ValueError, match="0, 1"):
+            radda_solve(make_example1(8), truncate_tol=truncate_tol,
+                        maxit=2)
+
     def test_solve_attaches_partial_report(self, monkeypatch):
         # example 1 never breaks a step down, so force the failure to
         # exercise the partial-report plumbing
@@ -554,6 +584,106 @@ class TestSolve:
         assert rep.termination == "breakdown"
         assert rep.iterations == err.value.k - 1
         assert all(np.isfinite(res) for _, res in rep.residual_history)
+
+
+def dense_problem(rng, n):
+    """Dense stable A = M - (max |Re lambda(M)| + 1) I with
+    M = N(n x n)/sqrt(n); B = 0.3 N(n x 4), C = 0.3 N(4 x n)."""
+    M = rng.standard_normal((n, n)) / np.sqrt(n)
+    A = M - (np.abs(np.linalg.eigvals(M).real).max() + 1.0) * np.eye(n)
+    return CareProblem(A, 0.3 * rng.standard_normal((n, 4)),
+                       0.3 * rng.standard_normal((4, n)))
+
+
+class TestGalerkinFinish:
+    KW = dict(tol=1e-10, truncate_tol=1e-13)
+
+    @staticmethod
+    def grid():
+        return convection_diffusion_problem(np.random.default_rng(0), 16)
+
+    @pytest.fixture
+    def attempts(self, monkeypatch):
+        """Calls of the small Riccati solve, which the finish makes once
+        per attempt."""
+        import radda.lowrank as lowrank_mod
+        calls = []
+        orig = lowrank_mod.solve_continuous_are
+
+        def counted(*args):
+            calls.append(None)
+            return orig(*args)
+
+        monkeypatch.setattr(lowrank_mod, "solve_continuous_are", counted)
+        return calls
+
+    @pytest.mark.parametrize("inputs", [1, 0])
+    def test_fires_and_matches_oracle(self, attempts, inputs):
+        # with no input (m = 0) the small equation is a Lyapunov equation
+        p = self.grid()
+        p = CareProblem(p.A, p.B[:, :inputs], p.C)
+        x, report = radda_solve(p, **self.KW)
+        assert report.termination == "converged"
+        assert report.returned == "galerkin"
+        assert len(attempts) == 1
+        # the iterate's row, then the finish's row at the same k
+        assert report.iterations == 5
+        (k1, res_k), (k2, res_f) = report.residual_history[-2:]
+        assert k1 == k2 == 5 and res_k > 1e-10 >= res_f
+        assert report.rank_history[-1] == (5, x.rank,
+                                           report.rank_history[-2][2])
+        assert len(report.wall_times) == len(report.residual_history) == 7
+        assert residual_lowrank(p, x.F) == res_f
+        Xs = care_oracle_small(p)
+        assert np.linalg.norm(x.reconstruct() - Xs, "fro") <= \
+            1e-8 * np.linalg.norm(Xs, "fro")
+
+    @pytest.mark.parametrize("failure", [
+        pytest.param("raise", id="LinAlgError"),
+        pytest.param("warn", id="LinAlgWarning"),
+        pytest.param("warn", id="LinAlgWarning-ignored-globally",
+                     marks=pytest.mark.filterwarnings(
+                         "ignore::scipy.linalg.LinAlgWarning")),
+    ])
+    def test_failed_attempt_keeps_doubling(self, monkeypatch, failure):
+        # a small solve that fails, or only warns, is a failed attempt:
+        # nothing escapes, the doubling goes on to its own iterate, and
+        # no second attempt is made
+        import radda.lowrank as lowrank_mod
+        calls = []
+        orig = lowrank_mod.solve_continuous_are
+
+        def failing(*args):
+            calls.append(None)
+            if failure == "raise":
+                raise np.linalg.LinAlgError("forced failure")
+            warnings.warn("forced warning", sla.LinAlgWarning)
+            return orig(*args)
+
+        monkeypatch.setattr(lowrank_mod, "solve_continuous_are", failing)
+        x, report = lowrank_mod.radda_solve(self.grid(), **self.KW)
+        assert calls == [None]
+        assert report.termination == "converged"
+        assert report.returned == "iterate"
+        assert report.iterations == 6
+        assert [k for k, _ in report.residual_history] == list(range(7))
+        assert report.residual_history[-1][1] <= 1e-10
+        assert x.rank == report.rank_history[-1][1]
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_example2(64),
+        lambda: dense_problem(np.random.default_rng(0), 256),
+    ])
+    def test_not_attempted(self, attempts, make):
+        # both residuals enter the window only once the basis is wider
+        # than n/4: example 2 at k = 3 (17 columns, n/4 = 16), the dense
+        # instance at k = 4 (132 columns, n/4 = 64)
+        _, report = radda_solve(make())
+        assert report.termination == "converged"
+        assert report.returned == "iterate"
+        assert attempts == []
+        ks = [k for k, _ in report.residual_history]
+        assert ks == list(range(report.iterations + 1))
 
 
 class TestRandomSweep:
