@@ -93,18 +93,14 @@ def _solve(problem: CareProblem, args, alpha: float | None):
 def cmd_run(args) -> int:
     """One solve; emits the per-iteration trajectory."""
     problem = _load(args)
-    report = None
     code = EXIT_OK
     try:
         _, report = _solve(problem, args, args.alpha)
         if report.termination != "converged":
             code = EXIT_NOT_CONVERGED
-    except BreakdownError as exc:
+    except (BreakdownError, ShiftSingularError) as exc:
         _info(f"error: {exc}")
-        report = exc.report
-        code = EXIT_BREAKDOWN
-    except ShiftSingularError as exc:
-        _info(f"error: {exc}")
+        report = getattr(exc, "report", None)
         code = EXIT_BREAKDOWN
 
     if report is not None:

@@ -11,8 +11,9 @@ The n-scale work of a step is the chain applied to the factors.  An
 untruncated step reuses the blocks the previous step appended, so it costs
 two depth-(k-1) applies of half width per side, 2 (p + m) 4^(k-1) base
 columns; K doublings from the start then cost (p + m)(1 + (4^K - 4)/6)
-columns in all.  After truncation a step falls back to one depth-k apply
-per side, 2^k (p_k + m_k) columns.
+columns in all.  The factors' own blocks select this doubled step: those
+that end in the last chain correction's blocks take it, and others, such
+as truncated ones, one depth-k apply per side, 2^k (p_k + m_k) columns.
 
 The n-scale memory is the factors themselves.  D and P are tuples of
 column blocks, one per step, so a step appends its new blocks without
@@ -70,17 +71,12 @@ def apply_ahat(base: BaseDoublingOperator, chain: tuple, Z: np.ndarray,
     of the full width of Z, k = len(chain), which stays cheap for the small
     iteration counts the quadratic convergence produces.
     """
-    return _apply_level(base, chain, len(chain), Z, transposed)
-
-
-def _apply_level(base: BaseDoublingOperator, chain: tuple, j: int,
-                 Z: np.ndarray, transposed: bool) -> np.ndarray:
-    if j == 0:
+    if not chain:
         return base.apply_t(Z) if transposed else base.apply(Z)
-    F, K, V = chain[j - 1]
-    inner = _apply_level(base, chain, j - 1,
-                         _apply_level(base, chain, j - 1, Z, transposed),
-                         transposed)
+    F, K, V = chain[-1]
+    prev = chain[:-1]
+    inner = apply_ahat(base, prev, apply_ahat(base, prev, Z, transposed),
+                       transposed)
     if transposed:
         return inner + V @ (K.T @ (F.T @ Z))
     return inner + F @ (K @ (V.T @ Z))
@@ -96,26 +92,24 @@ class RaddaState:
     the base operator's single blocks).
 
     The operator ahat_k is the base operator followed by chain, the
-    tuple of k thin corrections (F_j, K_j, V_j) that apply_ahat reads; a
-    step appends one and never rebuilds the base.  F_j and V_j are the
-    blocks step j appended to P and D, held once (chain[j-1][0] is P[j]
-    and chain[j-1][2] is D[j] until truncation rebuilds the factors).
-
-    chol holds the lower Cholesky factors (L_x, L_y) of the step that
-    produced this state, and marks factors that are exactly that step's
-    factors followed by its chain correction's outer blocks,
-    P = (*P_{k-1}, F_k) and D = (*D_{k-1}, V_k).  radda_step sets it and
-    the next step uses it to halve the operator applies; any change of
-    the factors (truncation, a rotation, a hand-built state) must leave
-    it None.
+    tuple of k = len(chain) thin corrections (F_j, K_j, V_j) that
+    apply_ahat reads; a step appends one and never rebuilds the base.
+    F_j and V_j are the blocks step j appended to P and D, held once.
+    A state whose factors end in the last correction's own blocks,
+    P[-1] is F_k and D[-1] is V_k, is taken to be that step's output, and
+    the next step halves its applies on it (radda_step); truncation, a
+    rotation or a hand-built state gives factors with other blocks, and
+    the full-depth step.
     """
 
-    k: int
     D: tuple
     P: tuple
     base: BaseDoublingOperator
     chain: tuple
-    chol: tuple | None = None
+
+    @property
+    def k(self) -> int:
+        return len(self.chain)
 
     @property
     def rank_x(self) -> int:
@@ -138,7 +132,7 @@ def init_lowrank(op: BaseDoublingOperator) -> RaddaState:
     state shares op.D and op.P, as one block each, and does no work of
     its own.
     """
-    return RaddaState(k=0, D=(op.D,), P=(op.P,), base=op, chain=())
+    return RaddaState(D=(op.D,), P=(op.P,), base=op, chain=())
 
 
 def _first_two_powers(base: BaseDoublingOperator, chain: tuple,
@@ -154,6 +148,17 @@ def _first_two_powers(base: BaseDoublingOperator, chain: tuple,
     np.matmul(S, L.T, out=out[:, :t])
     out[:, t:] = apply_ahat(base, chain, S, transposed=transposed)
     return out
+
+
+def _gram_factors(W: np.ndarray) -> tuple:
+    """The lower Cholesky factors of I + W W' and I + W'W.  A product that
+    overflows leaves a non-finite Gram matrix, which the factorization
+    rejects with ValueError, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram_x = np.eye(len(W)) + W @ W.T
+        gram_y = np.eye(W.shape[1]) + W.T @ W
+    return (sla.cholesky(gram_x, lower=True),
+            sla.cholesky(gram_y, lower=True))
 
 
 def radda_step(state: RaddaState) -> RaddaState:
@@ -177,9 +182,10 @@ def radda_step(state: RaddaState) -> RaddaState:
     rounding swamps the identity, and that, a non-finite W or Gram
     matrix, or a non-finite operator apply raises BreakdownError.
 
-    On a doubled state, with prev = ahat_{k-1}, (F, K_k, V) the last
-    correction (F = P[-1], V = D[-1]) and (M_x, M_y) = chol the last
-    step's factors,
+    When the factors end in the last correction's own blocks, (F, K_k, V)
+    = chain[-1] with F = P[-1] and V = D[-1], W's leading block is the
+    last step's D'P bit for bit, its Cholesky factors (M_x, M_y) are that
+    step's (L_x, L_y), and with prev = ahat_{k-1},
 
         ahat' D = [S M_x', prev' S] + V K_k' (D'F)',      S = prev' V,
         ahat P  = [T M_y', prev T]  + F K_k (V'P),        T = prev F,
@@ -189,33 +195,34 @@ def radda_step(state: RaddaState) -> RaddaState:
     Other states apply the depth-k chain directly, to the factors
     concatenated once.
     """
-    D, P, k = state.D, state.P, state.k
-    W = np.block([[d.T @ f for f in P] for d in D])
-    p_k, m_k = W.shape
+    D, P, base, chain = state.D, state.P, state.base, state.chain
+    k = state.k
+    doubled = bool(chain) and D[-1] is chain[-1][2] and P[-1] is chain[-1][0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = np.block([[d.T @ f for f in P] for d in D])
     if not np.all(np.isfinite(W)):
         raise BreakdownError(f"D'P is non-finite at iteration {k}", k=k)
+    # explicit offsets: a zero-width block gives an empty slice
+    row, col = W.shape[0] - D[-1].shape[1], W.shape[1] - P[-1].shape[1]
     try:
-        L_x = sla.cholesky(np.eye(p_k) + W @ W.T, lower=True)
-        L_y = sla.cholesky(np.eye(m_k) + W.T @ W, lower=True)
+        L_x, L_y = _gram_factors(W)
+        if doubled:
+            M_x, M_y = _gram_factors(W[:row, :col])
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise BreakdownError(
             f"no Cholesky factor of a Gram matrix at iteration {k}: {exc}",
             k=k) from exc
 
-    base, chain = state.base, state.chain
     # N_x, N_y hold ahat'D, ahat P until scaled: one copy of each block.
     # An overflowing apply is named below as a breakdown, so the inf it
     # feeds to the rest of the chain raises no warning on the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        if state.chol is not None:
+        if doubled:
             prev = chain[:-1]
             F, K_k, V = chain[-1]
-            prev_x, prev_y = state.chol
-            # explicit offsets: a zero-width block gives an empty slice
-            row, col = p_k - V.shape[1], m_k - F.shape[1]
-            N_x = _first_two_powers(base, prev, V, prev_x, transposed=True)
+            N_x = _first_two_powers(base, prev, V, M_x, transposed=True)
             N_x += V @ (K_k.T @ W[:, col:].T)
-            N_y = _first_two_powers(base, prev, F, prev_y, transposed=False)
+            N_y = _first_two_powers(base, prev, F, M_y, transposed=False)
             N_y += F @ (K_k @ W[row:])
         else:
             N_x = apply_ahat(base, chain, _joined(D), transposed=True)
@@ -226,14 +233,8 @@ def radda_step(state: RaddaState) -> RaddaState:
     N_x = _times_inv_lt(N_x, L_x)
     N_y = _times_inv_lt(N_y, L_y)
     K = sla.solve_triangular(L_y, W.T @ L_x, lower=True)
-    return RaddaState(
-        k=k + 1,
-        D=(*D, N_x),
-        P=(*P, N_y),
-        base=base,
-        chain=chain + ((N_y, np.negative(K, out=K), N_x),),
-        chol=(L_x, L_y),
-    )
+    return RaddaState(D=(*D, N_x), P=(*P, N_y), base=base,
+                      chain=chain + ((N_y, np.negative(K, out=K), N_x),))
 
 
 #: rows of the residual's basis that one QR of its streamed
@@ -366,7 +367,6 @@ def drive(problem: CareProblem, alpha: float | None, start, step,
         report.residual_history.append((k, res))
         report.wall_times.append(perf_counter() - t0)
         report.rank_history.append((k, *ranks(state)))
-        report.iterations = k
 
     try:
         for k in range(maxit + 1):
@@ -402,21 +402,20 @@ _GALERKIN_WINDOW = 1e4
 _BASIS_CUTOFF = 1e-13
 
 
-def _galerkin_factor(problem: CareProblem, D, cutoff: float):
+def _galerkin_factor(problem: CareProblem, blocks: tuple, cutoff: float):
     """Cholesky factor of the Galerkin solution of the Riccati equation on
     the span of [C', D, A'D], or None when the small equation fails.
 
-    D is a factor or a sequence of its column blocks.  The basis columns
-    are scaled to unit length and orthonormalized by a column-pivoted QR
-    that keeps the directions whose diagonal entry exceeds _BASIS_CUTOFF
-    of the first, giving Q.  The projected equation with coefficients
+    blocks are the column blocks of a factor D.  The basis columns are
+    scaled to unit length and orthonormalized by a column-pivoted QR that
+    keeps the directions whose diagonal entry exceeds _BASIS_CUTOFF of the
+    first, giving Q.  The projected equation with coefficients
     (Q'AQ, Q'B, CQ) is solved by scipy's solve_continuous_are; a
     LinAlgError, a LinAlgWarning, a floating-point error or a non-finite
     Y inside it makes the attempt fail, with no warning left behind.  The
     factor is Q V diag(w)^(1/2) over the eigenpairs (w, V) of Y with
     w > cutoff * max(w), a cutoff at rounding level when cutoff is 0.
     """
-    blocks = (D,) if isinstance(D, np.ndarray) else tuple(D)
     A, B, C = problem.A, problem.B, problem.C
     if B.shape[1] == 0:
         B = np.zeros((problem.n, 1))    # the same equation, as scipy takes it
@@ -498,7 +497,7 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         state = radda_step(state)
         D = truncate_factors(_joined(state.D), truncate_tol)
         P = truncate_factors(_joined(state.P), truncate_tol)
-        return replace(state, D=(D,), P=(P,), chol=None)
+        return replace(state, D=(D,), P=(P,))
 
     qn = _qnorm_of(problem)
     tried = False
@@ -520,7 +519,7 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
             return None
         # the state drive returns, never stepped: its D is the Galerkin
         # factor, its ranks are the final row's
-        return replace(state, D=(F,), chol=None), res_f
+        return replace(state, D=(F,)), res_f
 
     state, report = drive(
         problem, alpha, init_lowrank,

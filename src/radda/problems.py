@@ -142,17 +142,20 @@ class SolveReport:
     finish on that iterate's basis.  A Galerkin finish adds one final row
     at the same k to all three lists: its residual, the width of the
     returned factor beside the iterate's Y width, and the time of the
-    finish.  The last residual is then that of the returned solution,
-    and iterations stays the iterate's k.
+    finish.  The last residual is then that of the returned solution;
+    iterations, the k of the last row (0 before any), is the iterate's.
     """
 
     alpha: float | None = None
-    iterations: int = 0
     residual_history: list = field(default_factory=list)
     rank_history: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
     termination: str = "converged"
     returned: str = "iterate"
+
+    @property
+    def iterations(self) -> int:
+        return self.residual_history[-1][0] if self.residual_history else 0
 
 
 def make_example1(n: int) -> CareProblem:

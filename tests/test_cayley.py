@@ -334,9 +334,10 @@ class TestInitLowRank:
         assert init.P[0][0, 0] == pytest.approx(-np.sqrt(0.4), abs=1e-15)
         x0 = (init.D[0] @ init.D[0].T)[0, 0]
         assert x0 == pytest.approx(0.4, abs=1e-15)
-        # the k = 0 iterate: no chain corrections, factors that no step
-        # has appended to, and the operator's own factors, not copies
-        assert (init.k, len(init.chain), init.chol) == (0, 0, None)
+        # the k = 0 iterate: the operator's own factors, not copies, and
+        # no chain corrections, so the first step applies the base
+        # operator to the factors whole
+        assert (init.k, init.chain) == (0, ())
         assert len(init.D) == len(init.P) == 1
         assert init.D[0] is op.D and init.P[0] is op.P and init.base is op
 

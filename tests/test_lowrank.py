@@ -1,6 +1,7 @@
 """Factored doubling engine: operator chain, step algebra, residual,
 truncation, and the solve driver."""
 
+import dataclasses
 import importlib
 import importlib.util
 import tracemalloc
@@ -19,8 +20,8 @@ from radda import (BreakdownError, CareProblem, adda_solve_dense,
                    residual_lowrank)
 from radda.cayley import _norm_shift, build_shifted
 from radda.dense import adda_step_dense, init_dense
-from radda.lowrank import (RaddaState, apply_ahat, init_lowrank, radda_step,
-                           truncate_factors)
+from radda.lowrank import (RaddaState, _gram_factors, apply_ahat,
+                           init_lowrank, radda_step, truncate_factors)
 from radda.problems import qnorm
 from verification import reference_residual_lowrank
 
@@ -63,7 +64,17 @@ class TestStepAlgebra:
         assert s1.D[0][0, 0] == pytest.approx(-np.sqrt(0.4), abs=1e-15)
         assert s1.D[1][0, 0] == pytest.approx(-0.2 * np.sqrt(0.4 / 1.16),
                                               abs=1e-15)
-        np.testing.assert_allclose(s1.chol, [[[np.sqrt(1.16)]]] * 2,
+        # the step ends in its correction's own blocks, so the next step
+        # takes the doubled path and derives this step's Cholesky pair
+        # again from the leading block of its cross-Gram, W = 0.4
+        assert s1.D[-1] is s1.chain[-1][2] and s1.P[-1] is s1.chain[-1][0]
+        W1 = np.block([[d.T @ f for f in s1.P] for d in s1.D])
+        assert W1[0, 0] == pytest.approx(0.4, abs=1e-15)
+        np.testing.assert_allclose(_gram_factors(W1[:1, :1]),
+                                   [[[np.sqrt(1.16)]]] * 2,
+                                   rtol=0.0, atol=1e-15)
+        # the coupling -L_y^{-1} W' L_x of the scalar step is -W
+        np.testing.assert_allclose(s1.chain[-1][1], [[-0.4]],
                                    rtol=0.0, atol=1e-15)
 
     def test_core_update_matches_subtractive_form(self):
@@ -87,23 +98,39 @@ class TestStepAlgebra:
                           (N_y @ N_y.T, AP @ core_y @ AP.T)):
             np.testing.assert_allclose(got, want, rtol=0.0,
                                        atol=1e-13 * np.abs(want).max())
-        L_x, L_y = s2.chol
+        # the next step derives this step's Cholesky pair from the
+        # leading block of its own cross-Gram, which is W
+        W2 = np.hstack(s2.D).T @ np.hstack(s2.P)
+        np.testing.assert_allclose(W2[:r, :r], W, rtol=0.0,
+                                   atol=1e-14 * np.abs(W).max())
+        L_x, L_y = _gram_factors(W2[:r, :r])
         np.testing.assert_allclose(L_x @ L_x.T, eye + W @ W.T, rtol=1e-14)
         np.testing.assert_allclose(L_y @ L_y.T, eye + W.T @ W, rtol=1e-14)
+        # and the coupling the step stored is -L_y^{-1} W' L_x
+        K = sla.solve_triangular(L_y, W.T @ L_x, lower=True)
+        np.testing.assert_allclose(s2.chain[-1][1], -K, rtol=0.0,
+                                   atol=1e-13 * np.abs(K).max())
 
     @pytest.mark.filterwarnings("error")
     def test_breakdown_raises(self):
-        # an overflowed factor makes W = D'P = [[inf, -inf], [3, 1]]: the
-        # step stops before any apply, and before forming W W', whose
-        # inf - inf would warn
-        D = np.ones((3, 2))
-        D[0, 0] = np.inf
-        P = np.ones((3, 2))
-        P[0, 1] = -1.0
-        bad = RaddaState(k=2, D=(D,), P=(P,), base=None, chain=())
-        with pytest.raises(BreakdownError) as err:
-            radda_step(bad)
-        assert err.value.k == 2
+        # hand-built factors on the chain of a real run, with no base
+        # operator: each step stops before any apply, and no overflow or
+        # inf - inf on the way warns
+        s1 = radda_step(lowrank_state(make_example2(3), 18.0))
+        chains = {1: s1.chain, 2: radda_step(s1).chain}
+        # an overflowed factor makes W = D'P = [[inf, -inf], [3, 1]]
+        inf_D = np.ones((3, 2))
+        inf_D[0, 0] = np.inf
+        inf_P = np.ones((3, 2))
+        inf_P[0, 1] = -1.0
+        big, huge = np.full((3, 2), 1e80), np.full((3, 2), 1e160)
+        for D, P, k in ((inf_D, inf_P, 2),
+                        (big, big, 1),      # finite W, overflowing W W'
+                        (huge, huge, 1)):   # W itself overflows
+            bad = RaddaState(D=(D,), P=(P,), base=None, chain=chains[k])
+            with pytest.raises(BreakdownError) as err:
+                radda_step(bad)
+            assert err.value.k == k
 
 
 class TestDenseEquivalence:
@@ -207,6 +234,33 @@ class TestBaseSolveColumns:
         assert cols[0] == sum(2 ** k * (rx + ry) for k, rx, ry in steps)
         assert cols[0] == 666
 
+    def test_joined_factors_take_depth_k_path(self, cols):
+        # the blocks select the doubled step, and a state keeps nothing
+        # else beside them: the same factors joined into one block each
+        # take the depth-k path, 2^k (r_x + r_y) columns, to the same
+        # iterate
+        assert [f.name for f in dataclasses.fields(RaddaState)] == \
+            ["D", "P", "base", "chain"]
+        p = make_example2(64)
+        s = lowrank_state(p, _norm_shift(p))
+        for _ in range(3):
+            s = radda_step(s)
+        joined = RaddaState((np.hstack(s.D),), (np.hstack(s.P),), s.base,
+                            s.chain)
+        assert joined.k == s.k == 3
+        cols[0] = 0
+        doubled = radda_step(s)
+        assert cols[0] == 2 * (p.p + p.m) * 4 ** (s.k - 1) == 64
+        cols[0] = 0
+        full = radda_step(joined)
+        assert cols[0] == 2 ** s.k * (s.rank_x + s.rank_y) == 128
+        assert full.k == doubled.k == 4
+        for got, want in ((full.D, doubled.D), (full.P, doubled.P),
+                          ((full.chain[-1][1],), (doubled.chain[-1][1],))):
+            got, want = np.hstack(got), np.hstack(want)
+            assert np.linalg.norm(got - want) <= \
+                1e-12 * np.linalg.norm(want)
+
 
 class TestModifiedFactors:
     @pytest.mark.parametrize("make, alpha", [
@@ -221,10 +275,12 @@ class TestModifiedFactors:
         for _ in range(2):
             lr = radda_step(lr)
             dn = adda_step_dense(dn)
-        assert lr.chol is not None
+        # as stepped, the factors end in the last correction's blocks and
+        # would take the doubled path; rotated, they must not
+        assert lr.D[-1] is lr.chain[-1][2] and lr.P[-1] is lr.chain[-1][0]
         rng = np.random.default_rng(7)
         D, P = rotate(np.hstack(lr.D), rng), rotate(np.hstack(lr.P), rng)
-        lr = radda_step(RaddaState(lr.k, (D,), (P,), lr.base, lr.chain))
+        lr = radda_step(RaddaState((D,), (P,), lr.base, lr.chain))
         dn = adda_step_dense(dn)
         assert lr.rank_x == 8 * p.p and lr.rank_y == 8 * p.m
         for got, want in ((reconstruct_x(lr), dn.X), (reconstruct_y(lr), dn.Y)):
