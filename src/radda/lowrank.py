@@ -13,7 +13,9 @@ two depth-(k-1) applies of half width per side, 2 (p + m) 4^(k-1) base
 columns; K doublings from the start then cost (p + m)(1 + (4^K - 4)/6)
 columns in all.  The factors' own blocks select this doubled step: those
 that end in the last chain correction's blocks take it, and others, such
-as truncated ones, one depth-k apply per side, 2^k (p_k + m_k) columns.
+as factors that truncation cut, one depth-k apply per side,
+2^k (p_k + m_k) columns.  A truncation that would cut nothing keeps the
+stepped state as it is, so the next step stays doubled.
 
 The n-scale memory is the factors themselves.  D and P are tuples of
 column blocks, one per step, so a step appends its new blocks without
@@ -35,11 +37,11 @@ iterate whose residual lies in (tol, 1e4 tol], and only if that basis has
 p + 2r <= n/4 columns.  The factor it returns replaces the iterate when
 its own factored residual is at most tol; otherwise the doubling goes
 on.  On the 32 x 32 convection-diffusion grid (tol 1e-10, truncation
-1e-13) it ends the solve at k = 6 in place of 7 and halves its time
-(0.24 -> 0.12 s, one BLAS thread) at rank 21 (20 or 21 before); at
-N = 16 it fires on 7 of 8 seeds.  The paper's second family at n = 3e5 (k = 2 residual
-2.2e-7) and dense n = 256 instances (132 basis columns at k = 4) never
-reach it, nor does the first family at n = 1e5 or 2e5.
+1e-13) it ends the solve at k = 6 in place of 7, at rank 21 (20 or 21
+before), and the solve takes about 0.09 s (one BLAS thread); at N = 16
+it fires on 7 of 8 seeds.  The paper's second family at n = 3e5 (k = 2
+residual 2.2e-7) and dense n = 256 instances (132 basis columns at
+k = 4) never reach it, nor does the first family at n = 1e5 or 2e5.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ class RaddaState:
     F_j and V_j are the blocks step j appended to P and D, held once.
     A state whose factors end in the last correction's own blocks,
     P[-1] is F_k and D[-1] is V_k, is taken to be that step's output, and
-    the next step halves its applies on it (radda_step); truncation, a
+    the next step halves its applies on it (radda_step), also when a
+    truncation that cut nothing passed it on; a truncation that cuts, a
     rotation or a hand-built state gives factors with other blocks, and
     the full-depth step.
     """
@@ -466,8 +469,12 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
     truncate_tol : float
         Relative eigenvalue cutoff for per-step factor recompression, in
         [0, 1).  0 (default) disables truncation and the factor widths
-        double exactly each step.  It also cuts the eigenvalues of the
-        Galerkin finish's small solution (rounding level when 0).
+        double exactly each step.  A step whose recompression would drop
+        no column keeps its factors as stepped, so the next step takes
+        the doubled path; a step that drops a column leaves each factor
+        as one recompressed block, and the next step applies the
+        full-depth chain.  It also cuts the eigenvalues of the Galerkin
+        finish's small solution (rounding level when 0).
 
     Returns
     -------
@@ -494,9 +501,14 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
     _check_truncate_tol(truncate_tol)
 
     def truncated_step(state):
+        # a cut that drops no column would only rotate the factors: the
+        # stepped state is kept instead, so its blocks still select the
+        # doubled step
         state = radda_step(state)
         D = truncate_factors(_joined(state.D), truncate_tol)
         P = truncate_factors(_joined(state.P), truncate_tol)
+        if D.shape[1] == state.rank_x and P.shape[1] == state.rank_y:
+            return state
         return replace(state, D=(D,), P=(P,))
 
     qn = _qnorm_of(problem)

@@ -235,25 +235,45 @@ def pivoting_problem(n=40):
     return CareProblem(A, np.ones((n, 1)), np.ones((1, n)))
 
 
+def unsymmetric_problem(n=60):
+    """Sparse A with a subdiagonal and random entries two or more places
+    above the diagonal, none mirrored: a structurally unsymmetric pattern
+    whose far entries make the band storage outgrow the CSR arrays."""
+    rng = np.random.default_rng(4)
+    upper = sp.triu(sp.random(n, n, density=0.1, random_state=rng,
+                              data_rvs=lambda k: rng.uniform(-1, 1, k)), k=2)
+    A = (upper + sp.diags([1.0, -3.0], [-1, 0], shape=(n, n))).tocsr()
+    return CareProblem(A, rng.standard_normal((n, 2)),
+                       rng.standard_normal((1, n)))
+
+
 # (problem, shift, whether A - alpha I takes SuperLU)
 FACTOR_CASES = {
     "band": (make_example2(200), 9.0, False),
     "wide": (convection_diffusion_problem(np.random.default_rng(2), 8), 40.0,
              True),
     "pivoting": (pivoting_problem(), 1.0, True),
+    "unsymmetric": (unsymmetric_problem(), 2.0, True),
 }
+
+#: the keywords of every SuperLU factorization: minimum degree on the
+#: pattern of A_a' + A_a, in symmetric mode (pivoting stays at its default)
+SYMMETRIC_MODE = dict(permc_spec="MMD_AT_PLUS_A",
+                      options=dict(SymmetricMode=True))
 
 
 class TestFactorPaths:
     @pytest.fixture
     def splu_calls(self, monkeypatch):
-        """Problem sizes SuperLU is asked to factor, in order."""
+        """(problem size, keywords) of each SuperLU factorization, in
+        order."""
         import radda.cayley as cayley_mod
         calls = []
         splu = cayley_mod.spla.splu
 
         def recorded(M, *args, **kwargs):
-            calls.append(M.shape[0])
+            assert not args
+            calls.append((M.shape[0], kwargs))
             return splu(M, *args, **kwargs)
 
         monkeypatch.setattr(cayley_mod.spla, "splu", recorded)
@@ -280,7 +300,7 @@ class TestFactorPaths:
         p = CareProblem(A.tocsr(), np.ones((n, 1)), np.ones((1, n)))
         with pytest.raises(ShiftSingularError):
             build_shifted(p, 1.0)
-        assert splu_calls == [n]
+        assert splu_calls == [(n, SYMMETRIC_MODE)]
 
     @pytest.mark.parametrize("width", [1, 3])
     @pytest.mark.parametrize("case", sorted(FACTOR_CASES))
@@ -288,7 +308,8 @@ class TestFactorPaths:
         from radda.cayley import _factor
         problem, alpha, superlu = FACTOR_CASES[case]
         solve = _factor(problem, alpha)
-        assert splu_calls == ([problem.n] if superlu else [])
+        assert splu_calls == ([(problem.n, SYMMETRIC_MODE)] if superlu
+                              else [])
         Aa = problem.a_dense() - alpha * np.eye(problem.n)
         Z = np.random.default_rng(width).standard_normal((problem.n, width))
         Z_before = Z.copy()
@@ -298,6 +319,15 @@ class TestFactorPaths:
             np.testing.assert_allclose(got, want, rtol=0.0,
                                        atol=1e-12 * np.abs(want).max())
         np.testing.assert_array_equal(Z, Z_before)
+
+    def test_every_superlu_factorization_is_symmetric_mode(self,
+                                                          splu_calls):
+        # the shift search's probe at shift 0, each rung it factors and
+        # the solve's own shift all take the same ordering
+        problem = FACTOR_CASES["wide"][0]
+        radda_solve(problem, tol=1e-10)
+        assert len(splu_calls) >= 3
+        assert all(call == (problem.n, SYMMETRIC_MODE) for call in splu_calls)
 
     @pytest.mark.parametrize("case", ["band", "wide"])
     def test_duplicate_entries_match_canonical(self, case):

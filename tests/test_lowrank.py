@@ -210,29 +210,86 @@ class TestBaseSolveColumns:
         assert report.iterations == K
         assert cols[0] == expected == (p.p + p.m) * (1 + (4 ** K - 4) // 6)
 
+    @staticmethod
+    def truncated_law(rows):
+        """Base columns of a truncated run's steps, one from each of rows
+        but the last.  A step from a state that truncation cut nothing
+        from (its widths exactly double the row before) takes the doubled
+        path, two depth-(k-1) applies per side at half width,
+        2^(k-1) (r_x + r_y); any other step, the first among them, one
+        depth-k apply per side, 2^k (r_x + r_y)."""
+        total = 0
+        for (_, rx0, ry0), (k, rx, ry) in zip([(0, 0, 0)] + rows, rows[:-1]):
+            uncut = k >= 1 and (rx, ry) == (2 * rx0, 2 * ry0)
+            total += 2 ** k * (rx + ry) // (2 if uncut else 1)
+        return total
+
     def test_truncated_run(self, cols):
-        # truncation rebuilds the factors, so each step applies the full
-        # depth-k chain once per side: 2^k (r_x + r_y) columns
+        # truncation cuts nothing on the steps to k = 1 and 2, so the
+        # steps from them take the doubled path: 22 columns, where full
+        # depth-k applies would take 42
         _, report = radda_solve(make_example1(2000), alpha=17.0,
                                 truncate_tol=1e-13)
         assert report.termination == "converged"
-        steps = report.rank_history[:-1]
-        assert cols[0] == sum(2 ** k * (rx + ry) for k, rx, ry in steps)
-        assert cols[0] == 42       # two thirds of the 63 a third apply gave
+        assert report.rank_history == [(0, 1, 1), (1, 2, 2), (2, 4, 4),
+                                       (3, 6, 6)]
+        assert cols[0] == self.truncated_law(report.rank_history) == 22
 
     def test_galerkin_finished_run(self, cols):
         # the finish makes no base apply, so the columns are those of the
         # doublings up to the iterate it finishes: five doublings, where
-        # the iterate alone needs six and 1,754 columns
+        # the iterate alone needs six.  Truncation cuts nothing until
+        # k = 4, so only the step from k = 4 applies the full depth
         p = convection_diffusion_problem(np.random.default_rng(0), 16)
         alpha = choose_alpha(p)
         cols[0] = 0
         _, report = radda_solve(p, alpha=alpha, tol=1e-10,
                                 truncate_tol=1e-13)
         assert report.returned == "galerkin"
-        steps = report.rank_history[:-2]
-        assert cols[0] == sum(2 ** k * (rx + ry) for k, rx, ry in steps)
-        assert cols[0] == 666
+        rows = report.rank_history[:-1]
+        assert [k for k, _, _ in rows] == list(range(6))
+        assert cols[0] == self.truncated_law(rows) == 582
+
+    def test_uncut_truncation_keeps_the_doubled_step(self, cols,
+                                                     monkeypatch):
+        # a truncated step that cuts nothing hands radda_step's state on
+        # as it is, so the next step takes the doubled path to the same
+        # iterate as the depth-k path; a step that cuts joins each factor
+        # into one block
+        import radda.lowrank as lowrank_mod
+        steps = []
+        step = lowrank_mod.radda_step
+
+        def recorded(state):
+            steps.append((state, step(state)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(lowrank_mod, "radda_step", recorded)
+        p = convection_diffusion_problem(np.random.default_rng(0), 8)
+        _, report = lowrank_mod.radda_solve(p, alpha=choose_alpha(p),
+                                            tol=1e-10, truncate_tol=1e-13)
+        assert report.rank_history == [(0, 1, 1), (1, 2, 2), (2, 4, 4),
+                                       (3, 8, 8), (4, 13, 12), (5, 13, 12)]
+        # steps[j] is the state the step to k = j + 1 took and returned
+        for (_, stepped), (taken, _) in zip(steps[:3], steps[1:4]):
+            assert taken is stepped
+            assert taken.D[-1] is taken.chain[-1][2]
+            assert taken.P[-1] is taken.chain[-1][0]
+        cut = steps[4][0]
+        assert len(cut.D) == len(cut.P) == 1
+        assert (cut.rank_x, cut.rank_y) == (13, 12)
+
+        s = steps[3][0]
+        assert s.k == 3 and len(s.D) == len(s.P) == 4
+        cols[0] = 0
+        doubled = step(s)
+        assert cols[0] == 2 * (p.p + p.m) * 4 ** (s.k - 1) == 64
+        full = step(RaddaState((np.hstack(s.D),), (np.hstack(s.P),), s.base,
+                               s.chain))
+        for got, want in ((full.D, doubled.D), (full.P, doubled.P)):
+            got, want = np.hstack(got), np.hstack(want)
+            assert np.linalg.norm(got - want) <= \
+                1e-12 * np.linalg.norm(want)
 
     def test_joined_factors_take_depth_k_path(self, cols):
         # the blocks select the doubled step, and a state keeps nothing
@@ -288,8 +345,9 @@ class TestModifiedFactors:
                 1e-10 * np.linalg.norm(want, "fro")
 
     def test_width_preserving_truncation_in_solve(self, monkeypatch):
-        # a recompression that keeps every column still changes the
-        # factors, so the solve must not treat them as freshly doubled
+        # a recompression that keeps every column would only rotate the
+        # factors, so the solve keeps each stepped state as it is and
+        # returns the untruncated solve's factor, bit for bit
         import radda.lowrank as lowrank_mod
         rng = np.random.default_rng(3)
         p = make_example2(64)
@@ -300,9 +358,8 @@ class TestModifiedFactors:
                                             maxit=ref.iterations)
         assert report.termination == "converged"
         assert report.rank_history == ref.rank_history
-        X_ref = x_ref.reconstruct()
-        assert np.linalg.norm(x.reconstruct() - X_ref, "fro") <= \
-            1e-10 * np.linalg.norm(X_ref, "fro")
+        assert report.returned == ref.returned == "iterate"
+        np.testing.assert_array_equal(x.F, x_ref.F)
 
 
 class TestResidualLowrank:
