@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-run      one solve (low-rank or dense mode), per-iteration records out
+run      one solve (low-rank or dense mode), per-iteration records out,
+         and in JSON each Galerkin finish attempt
 compare  both solvers in lockstep on one problem, per-iteration deviation
 sweep    size/shift grid in one mode, one summary row per run
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from time import perf_counter
 
 import numpy as np
@@ -119,6 +121,7 @@ def cmd_run(args) -> int:
                 "iterations": report.iterations,
                 "termination": report.termination,
                 "returned": report.returned,
+                "attempts": [asdict(a) for a in report.attempts],
             }
             _emit(_json_doc(meta, RUN_HEADER.split(","), rows), args.out)
         final = report.residual_history[-1][1] if report.residual_history else float("nan")

@@ -28,24 +28,29 @@ drive is the one run path of both engines and of the CLI's compare: it
 picks the shift, builds the k = 0 operator and doubles under the shared
 stopping rule.
 
-radda_solve adds a Galerkin finish.  range(D_k) is a rational Krylov
-space with its pole repeated at the shift, and the Galerkin solution of
-the Riccati equation projected on [C', D_k, A'D_k], the projection step
-of RKSM and of extended block Arnoldi, often meets tol a doubling or
-more before the iterate does.  It is tried once per solve: at the first
-iterate whose residual lies in (tol, 1e4 tol], and only if that basis has
-p + 2r <= n/4 columns.  The factor it returns replaces the iterate when
-its own factored residual is at most tol; otherwise the doubling goes
-on.  On the 32 x 32 convection-diffusion grid (tol 1e-10, truncation
-1e-13) it ends the solve at k = 6 in place of 7, at rank 21 (20 or 21
-before), and the solve takes about 0.09 s (one BLAS thread); at N = 16
-it fires on 7 of 8 seeds.  The paper's second family at n = 3e5 (k = 2
-residual 2.2e-7) and dense n = 256 instances (132 basis columns at
-k = 4) never reach it, nor does the first family at n = 1e5 or 2e5.
+radda_solve adds a Galerkin finish.  The blocks the doubling appended
+to D, uncut, span a rational Krylov space with its pole repeated at the
+shift that holds range(D_k), and the Galerkin solution of the Riccati
+equation projected on [C', V, A'V], V those blocks (the projection step
+of RKSM and of extended block Arnoldi), often meets tol a doubling or
+more before the iterate does.  It is tried at each iterate with
+residual at most 1e4 tol, and at one with residual at most 1e6 tol when
+the quadratic model res_k^3 / res_(k-1)^2 says the next iterate still
+misses tol, so that a pass saves at least two doublings; always only
+while the iterate's own basis has p + 2r <= n/4 columns.  The factor it
+returns replaces the iterate when it stabilizes the projected closed
+loop and its own factored residual is at most tol; otherwise the
+doubling goes on.  On the 32 x 32 convection-diffusion grid (tol 1e-10,
+truncation 1e-13) it passes at k = 5, where the iterate alone needs
+k = 7, at a residual of about 1e-12 and rank 21, and the solve takes
+about 0.04 s (one BLAS thread).  The paper's second family at n = 3e5
+(k = 2 residual 2.2e-7, model 4.6e-14) and dense n = 256 instances (132
+basis columns at k = 4) make no attempt.
 """
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass, replace
 from time import perf_counter
@@ -56,8 +61,11 @@ from scipy.linalg import solve_continuous_are
 
 from .cayley import BaseDoublingOperator, _times_inv_lt, build_shifted, \
     choose_alpha
-from .problems import BreakdownError, CareProblem, LowRankSymmetric, \
-    SolveReport, qnorm as _qnorm_of, relative_residual, spectral_norm_sym
+from .problems import BreakdownError, CareProblem, FinishAttempt, \
+    LowRankSymmetric, SolveReport, qnorm as _qnorm_of, relative_residual, \
+    spectral_norm_sym
+
+_log = logging.getLogger("radda")
 
 
 def apply_ahat(base: BaseDoublingOperator, chain: tuple, Z: np.ndarray,
@@ -349,13 +357,13 @@ def drive(problem: CareProblem, alpha: float | None, start, step,
     with the partial report attached and termination "breakdown".
     ValueError unless tol > 0 and maxit >= 1.
 
-    finish, when given, is called as finish(state, res) on each iterate
-    whose residual res is above tol.  It returns None to go on doubling,
-    or (solution, its residual) with that residual at most tol, which
-    ends the run: the solution is returned in place of the iterate, its
-    row is added at the iterate's k and report.returned reads "galerkin".
-    The time of an attempt that returns None counts towards the next
-    step's row.
+    finish, when given, is called as finish(state, report) on each
+    iterate whose residual, the last of report.residual_history, is
+    above tol.  It returns None to go on doubling, or (solution, its
+    residual) with that residual at most tol, which ends the run: the
+    solution is returned in place of the iterate, its row is added at the
+    iterate's k and report.returned reads "galerkin".  The time of an
+    attempt that returns None counts towards the next step's row.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -384,7 +392,7 @@ def drive(problem: CareProblem, alpha: float | None, start, step,
                 report.termination = "converged"
                 break
             t0 = perf_counter()
-            finished = None if finish is None else finish(state, res)
+            finished = None if finish is None else finish(state, report)
             if finished is not None:
                 state, res = finished
                 record(k, res)
@@ -398,54 +406,71 @@ def drive(problem: CareProblem, alpha: float | None, start, step,
     return state, report
 
 
-#: the Galerkin finish is tried at the first iterate whose residual lies
-#: in (tol, _GALERKIN_WINDOW * tol]
+#: the Galerkin finish is tried at each iterate whose residual is at most
+#: _GALERKIN_WINDOW * tol, and at one up to _GALERKIN_REACH * tol whose
+#: next iterate the quadratic model res_k^3 / res_(k-1)^2 puts above tol
 _GALERKIN_WINDOW = 1e4
+_GALERKIN_REACH = 1e6
 #: relative cutoff of the rank-revealing QR of the Galerkin basis
 _BASIS_CUTOFF = 1e-13
 
 
 def _galerkin_factor(problem: CareProblem, blocks: tuple, cutoff: float):
     """Cholesky factor of the Galerkin solution of the Riccati equation on
-    the span of [C', D, A'D], or None when the small equation fails.
+    the span of [C', V, A'V], with the number of basis columns kept; the
+    factor is None when the small equation fails.
 
-    blocks are the column blocks of a factor D.  The basis columns are
-    scaled to unit length and orthonormalized by a column-pivoted QR that
-    keeps the directions whose diagonal entry exceeds _BASIS_CUTOFF of the
-    first, giving Q.  The projected equation with coefficients
-    (Q'AQ, Q'B, CQ) is solved by scipy's solve_continuous_are; a
-    LinAlgError, a LinAlgWarning, a floating-point error or a non-finite
-    Y inside it makes the attempt fail, with no warning left behind.  The
-    factor is Q V diag(w)^(1/2) over the eigenpairs (w, V) of Y with
-    w > cutoff * max(w), a cutoff at rounding level when cutoff is 0.
+    blocks are n-row column blocks V whose span holds the iterate's
+    range.  The basis columns are scaled to unit length and
+    orthonormalized by a column-pivoted QR that keeps the directions
+    whose diagonal entry exceeds _BASIS_CUTOFF of the first, giving Q.
+    The projected equation with coefficients (Q'AQ, Q'B, CQ) is solved by
+    scipy's solve_continuous_are; a LinAlgError, a LinAlgWarning, a
+    floating-point error or a non-finite Y inside it makes the attempt
+    fail, with no warning left behind, and so does a Y that does not
+    stabilize the projected closed loop Q'AQ - (Q'B)(Q'B)'Y, checked from
+    its eigenvalues.  The factor is Q V diag(w)^(1/2) over the eigenpairs
+    (w, V) of Y with w > cutoff * max(w), a cutoff at rounding level when
+    cutoff is 0.
     """
     A, B, C = problem.A, problem.B, problem.C
     if B.shape[1] == 0:
         B = np.zeros((problem.n, 1))    # the same equation, as scipy takes it
-    basis = np.hstack([C.T, *blocks, *(A.T @ block for block in blocks)])
+    # one column-major basis, scaled and factored in place
+    columns = [C.T, *blocks, *(A.T @ block for block in blocks)]
+    basis = np.empty((problem.n, sum(c.shape[1] for c in columns)),
+                     order="F")
+    np.concatenate(columns, axis=1, out=basis)
+    del columns
     norms = np.linalg.norm(basis, axis=0)
-    basis = basis[:, norms > 0.0] / norms[norms > 0.0]
-    Q, R, _ = sla.qr(basis, mode="economic", pivoting=True)
+    if not np.all(norms > 0.0):
+        basis, norms = basis[:, norms > 0.0], norms[norms > 0.0]
+    basis /= norms
+    Q, R, _ = sla.qr(basis, mode="economic", pivoting=True,
+                     overwrite_a=True)
+    del basis
     diag = np.abs(np.diagonal(R))
     Q = Q[:, :np.count_nonzero(diag > _BASIS_CUTOFF * diag[0])]
-    CQ = C @ Q
+    AQ, BQ, CQ = Q.T @ (A @ Q), Q.T @ B, C @ Q
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", sla.LinAlgWarning)
             with np.errstate(over="raise", invalid="raise",
                              divide="raise"):
-                Y = solve_continuous_are(Q.T @ (A @ Q), Q.T @ B,
-                                         CQ.T @ CQ, np.eye(B.shape[1]))
+                Y = solve_continuous_are(AQ, BQ, CQ.T @ CQ,
+                                         np.eye(B.shape[1]))
+                stable = np.all(np.isfinite(Y)) and np.all(
+                    sla.eigvals(AQ - BQ @ (BQ.T @ Y)).real < 0.0)
     except (ValueError, FloatingPointError, np.linalg.LinAlgError,
             sla.LinAlgWarning):
-        return None
-    if not np.all(np.isfinite(Y)):
-        return None
+        stable = False
+    if not stable:
+        return None, Q.shape[1]
     w, V = sla.eigh(Y)
     if cutoff == 0.0:
         cutoff = len(w) * np.finfo(float).eps
     keep = w > cutoff * w[-1]
-    return Q @ (V[:, keep] * np.sqrt(w[keep]))
+    return Q @ (V[:, keep] * np.sqrt(w[keep])), Q.shape[1]
 
 
 def radda_solve(problem: CareProblem, *, alpha: float | None = None,
@@ -474,16 +499,19 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         the doubled path; a step that drops a column leaves each factor
         as one recompressed block, and the next step applies the
         full-depth chain.  It also cuts the eigenvalues of the Galerkin
-        finish's small solution (rounding level when 0).
+        finish's small solution (rounding level when 0); the finish
+        projects on the blocks the steps appended before any cut.
 
     Returns
     -------
     (LowRankSymmetric, SolveReport)
         The Cholesky factor F of the solution X = F F' and the run
-        bookkeeping.  F is the last iterate's D, or, when the Galerkin
+        bookkeeping.  F is the last iterate's D, or, when a Galerkin
         finish (see the module docstring) passed tol, the factor of the
-        Galerkin solution on that iterate's basis; report.returned says
-        which ("iterate" or "galerkin").
+        Galerkin solution on the blocks the doubling appended up to that
+        iterate; report.returned says which ("iterate" or "galerkin"),
+        and report.attempts lists every attempt.  Each attempt also
+        writes one debug line to the "radda" logger.
 
     Raises
     ------
@@ -512,22 +540,35 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         return replace(state, D=(D,), P=(P,))
 
     qn = _qnorm_of(problem)
-    tried = False
 
-    def finish(state, res):
-        # one attempt, at the first iterate inside the window, while the
-        # basis [C', D, A'D] is narrow next to n
-        nonlocal tried
-        if tried or not res <= _GALERKIN_WINDOW * tol:
+    def finish(state, report):
+        # attempt while the iterate's basis [C', D, A'D] is narrow next to
+        # n, at a residual near tol or at one from which the quadratic
+        # model sees the next doubling still miss it
+        history = report.residual_history
+        res = history[-1][1]
+        if not (res <= _GALERKIN_WINDOW * tol or (
+                res <= _GALERKIN_REACH * tol and len(history) > 1
+                and res * (res / history[-2][1]) ** 2 > tol)):
             return None
-        tried = True
         if problem.p + 2 * state.rank_x > problem.n / 4:
             return None
-        F = _galerkin_factor(problem, state.D, truncate_tol)
-        if F is None:
-            return None
-        res_f = residual_lowrank(problem, F, qn)
-        if not res_f <= tol:
+        t0 = perf_counter()
+        # the blocks each step appended before any cut: the iterate's own
+        # blocks when nothing was cut, and a span holding range(D) if not
+        F, columns = _galerkin_factor(
+            problem, (state.base.D, *(V for _, _, V in state.chain)),
+            truncate_tol)
+        res_f = None if F is None else residual_lowrank(problem, F, qn)
+        attempt = FinishAttempt(k=state.k, columns=columns,
+                                residual=res_f,
+                                seconds=perf_counter() - t0)
+        report.attempts.append(attempt)
+        _log.debug("galerkin attempt at k = %d: %d basis columns, "
+                   "residual %s, %.3g s", attempt.k, attempt.columns,
+                   "failed" if res_f is None else f"{res_f:.3e}",
+                   attempt.seconds)
+        if res_f is None or not res_f <= tol:
             return None
         # the state drive returns, never stepped: its D is the Galerkin
         # factor, its ranks are the final row's

@@ -126,6 +126,19 @@ class LowRankSymmetric:
         return self.F @ self.F.T
 
 
+@dataclass(frozen=True)
+class FinishAttempt:
+    """One attempt of the low-rank engine's Galerkin finish: the iterate's
+    k, the basis columns the pivoted QR kept, the residual of the factor
+    it gave (None when the small equation failed or its solution did not
+    stabilize the projected closed loop) and the attempt's seconds."""
+
+    k: int
+    columns: int
+    residual: float | None
+    seconds: float
+
+
 @dataclass
 class SolveReport:
     """Per-run bookkeeping of lowrank.drive, shared by both engines.
@@ -139,11 +152,14 @@ class SolveReport:
 
     returned names what the solve handed back: "iterate", the last
     doubling iterate, or "galerkin", the low-rank engine's Galerkin
-    finish on that iterate's basis.  A Galerkin finish adds one final row
-    at the same k to all three lists: its residual, the width of the
-    returned factor beside the iterate's Y width, and the time of the
-    finish.  The last residual is then that of the returned solution;
-    iterations, the k of the last row (0 before any), is the iterate's.
+    finish on the blocks the doubling appended up to that iterate.  A
+    Galerkin finish adds one final row at the same k to all three lists:
+    its residual, the width of the returned factor beside the iterate's Y
+    width, and the time of the finish.  The last residual is then that of
+    the returned solution; iterations, the k of the last row (0 before
+    any), is the iterate's.  attempts holds one FinishAttempt per
+    Galerkin attempt, passed or failed, in order; the dense engine makes
+    none.
     """
 
     alpha: float | None = None
@@ -152,6 +168,7 @@ class SolveReport:
     wall_times: list = field(default_factory=list)
     termination: str = "converged"
     returned: str = "iterate"
+    attempts: list = field(default_factory=list)
 
     @property
     def iterations(self) -> int:

@@ -77,6 +77,7 @@ class TestRun:
         assert doc["termination"] == "converged"
         assert doc["iterations"] == len(doc["rows"]) - 1
         assert doc["returned"] == "iterate"
+        assert doc["attempts"] == []
         for row in doc["rows"]:
             assert set(row) == {"k", "res", "rank_x", "rank_y", "wall_ms"}
 
@@ -97,6 +98,12 @@ class TestRun:
         assert doc["iterations"] == 5
         final = doc["rows"][-1]["res"]
         assert final <= 1e-10
+        # one record per attempt: k = 4 misses tol, k = 5 is the finish
+        assert [set(a) for a in doc["attempts"]] == \
+            [{"k", "columns", "residual", "seconds"}] * 2
+        assert [a["k"] for a in doc["attempts"]] == [4, 5]
+        assert doc["attempts"][0]["residual"] > 1e-10
+        assert doc["attempts"][1]["residual"] == final
         assert f"residual={final:.3e}" in err
         assert "returned=galerkin" in err
 

@@ -4,6 +4,7 @@ truncation, and the solve driver."""
 import dataclasses
 import importlib
 import importlib.util
+import logging
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -738,11 +739,18 @@ class TestGalerkinFinish:
         x, report = radda_solve(p, **self.KW)
         assert report.termination == "converged"
         assert report.returned == "galerkin"
-        assert len(attempts) == 1
+        # k = 4 is attempted by the quadratic model and misses tol; k = 5
+        # lies inside 1e4 tol and passes
+        assert len(attempts) == 2
+        failed, passed = report.attempts
+        assert (failed.k, passed.k) == (4, 5)
+        assert failed.residual > 1e-10
         # the iterate's row, then the finish's row at the same k
         assert report.iterations == 5
         (k1, res_k), (k2, res_f) = report.residual_history[-2:]
         assert k1 == k2 == 5 and res_k > 1e-10 >= res_f
+        assert passed.residual == res_f
+        assert all(a.columns > 0 and a.seconds > 0 for a in report.attempts)
         assert report.rank_history[-1] == (5, x.rank,
                                            report.rank_history[-2][2])
         assert len(report.wall_times) == len(report.residual_history) == 7
@@ -760,8 +768,9 @@ class TestGalerkinFinish:
     ])
     def test_failed_attempt_keeps_doubling(self, monkeypatch, failure):
         # a small solve that fails, or only warns, is a failed attempt:
-        # nothing escapes, the doubling goes on to its own iterate, and
-        # no second attempt is made
+        # nothing escapes, and the doubling goes on to its own iterate.
+        # The attempts at k = 4 (quadratic model) and k = 5 (inside
+        # 1e4 tol) both fail; the k = 6 iterate meets tol itself
         import radda.lowrank as lowrank_mod
         calls = []
         orig = lowrank_mod.solve_continuous_are
@@ -775,13 +784,103 @@ class TestGalerkinFinish:
 
         monkeypatch.setattr(lowrank_mod, "solve_continuous_are", failing)
         x, report = lowrank_mod.radda_solve(self.grid(), **self.KW)
-        assert calls == [None]
+        assert calls == [None, None]
+        assert [(a.k, a.residual) for a in report.attempts] == \
+            [(4, None), (5, None)]
         assert report.termination == "converged"
         assert report.returned == "iterate"
         assert report.iterations == 6
         assert [k for k, _ in report.residual_history] == list(range(7))
         assert report.residual_history[-1][1] <= 1e-10
         assert x.rank == report.rank_history[-1][1]
+
+    def test_non_stabilizing_small_solution_fails(self, monkeypatch):
+        # a small solve that returns the anti-stabilizing root, -Z with Z
+        # the stabilizing solution for -A, leaves the projected closed
+        # loop unstable: each attempt fails, and the run keeps doubling
+        import radda.lowrank as lowrank_mod
+        orig = lowrank_mod.solve_continuous_are
+        roots = []
+
+        def anti_stabilizing(a, b, q, r):
+            Y = -orig(-a, b, q, r)
+            roots.append(np.linalg.eigvals(a - b @ np.linalg.solve(
+                r, b.T @ Y)).real.max())
+            return Y
+
+        monkeypatch.setattr(lowrank_mod, "solve_continuous_are",
+                            anti_stabilizing)
+        x, report = lowrank_mod.radda_solve(self.grid(), **self.KW)
+        assert len(roots) == 2 and min(roots) > 0.0
+        assert [(a.k, a.residual) for a in report.attempts] == \
+            [(4, None), (5, None)]
+        assert report.termination == "converged"
+        assert report.returned == "iterate"
+        assert report.iterations == 6
+        assert report.residual_history[-1][1] <= 1e-10
+        assert x.rank == report.rank_history[-1][1]
+
+    def test_logs_each_attempt(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="radda"):
+            _, report = radda_solve(self.grid(), **self.KW)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "radda"]
+        assert len(lines) == len(report.attempts) == 2
+        assert lines[0].startswith("galerkin attempt at k = 4")
+        assert lines[1].startswith("galerkin attempt at k = 5")
+
+    @pytest.mark.parametrize("seed, k", [(0, 5), (1, 5), (2, 6), (3, 5)])
+    def test_finishes_the_32_grid(self, seed, k):
+        # the k = 5 iterate (residual 2e-5 to 7e-5) is far from tol, but
+        # the model puts k = 6 above it too, so the finish is tried there
+        # and passes on the chain's uncut blocks.  Seed 2's k = 5
+        # residual, 1.02e-4, lies just past 1e6 tol: it doubles once more
+        # and finishes at k = 6
+        p = convection_diffusion_problem(np.random.default_rng(seed), 32)
+        x, report = radda_solve(p, **self.KW)
+        assert report.returned == "galerkin"
+        assert report.iterations == k
+        assert x.rank <= 21
+        res = dict(report.residual_history[:-1])
+        assert (res[5] <= 1e6 * 1e-10) == (k == 5)
+        assert [a.k for a in report.attempts] == [k]
+        assert report.attempts[0].residual == report.residual_history[-1][1]
+        assert report.attempts[0].residual <= 1e-10
+
+    def test_truncated_run_projects_on_the_chain_blocks(self, monkeypatch):
+        # truncation cuts D to 17 columns at k = 5, but the finish takes
+        # the blocks each step appended before the cut: the base block
+        # and one block per step, each as wide as the factor it was
+        # stepped from, 32 columns in all
+        import radda.lowrank as lowrank_mod
+        widths = []
+        orig = lowrank_mod._galerkin_factor
+
+        def spy(problem, blocks, cutoff):
+            widths.append([block.shape[1] for block in blocks])
+            return orig(problem, blocks, cutoff)
+
+        monkeypatch.setattr(lowrank_mod, "_galerkin_factor", spy)
+        _, report = radda_solve(self.grid(), **self.KW)
+        rx = [r for _, r, _ in report.rank_history[:-1]]
+        assert rx == [1, 2, 4, 8, 16, 17]
+        assert [a.k for a in report.attempts] == [4, 5]
+        assert widths == [[1] + rx[:4], [1] + rx[:5]]
+        assert sum(widths[-1]) == 32 > rx[-1]
+        # the pivoted QR keeps at most the p + 2 * 32 columns of the basis
+        assert 0 < report.attempts[-1].columns <= 1 + 2 * 32
+
+    def test_model_skips_a_step_that_converges(self, attempts):
+        # example 2's k = 2 residual lies inside 1e6 tol but outside
+        # 1e4 tol, and the model predicts k = 3 below tol: no attempt
+        p = make_example2(2000)
+        x, report = radda_solve(p)
+        res = [r for _, r in report.residual_history]
+        assert 1e-8 < res[2] <= 1e-6
+        assert res[2] ** 3 / res[1] ** 2 <= 1e-12
+        assert attempts == [] and report.attempts == []
+        assert report.returned == "iterate"
+        assert report.iterations == 3 and res[3] <= 1e-12
 
     @pytest.mark.parametrize("make", [
         lambda: make_example2(64),
@@ -794,7 +893,7 @@ class TestGalerkinFinish:
         _, report = radda_solve(make())
         assert report.termination == "converged"
         assert report.returned == "iterate"
-        assert attempts == []
+        assert attempts == [] and report.attempts == []
         ks = [k for k, _ in report.residual_history]
         assert ks == list(range(report.iterations + 1))
 
