@@ -118,6 +118,7 @@ def cmd_run(args) -> int:
                 "n": problem.n,
                 "alpha": report.alpha,
                 "tol": args.tol,
+                "truncate_tol": args.truncate_tol,
                 "iterations": report.iterations,
                 "termination": report.termination,
                 "returned": report.returned,
@@ -257,8 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--mode", choices=("lowrank", "dense"),
                         default="lowrank", help="solver selection")
     engine.add_argument("--truncate-tol", type=float, default=0.0,
-                        help="factor recompression cutoff in [0, 1) "
-                             "(0 = off; lowrank mode only)")
+                        help="eigenvalue cutoff in [0, 1) of the factor "
+                             "the solve returns (0 = no cut; lowrank mode "
+                             "only)")
 
     sub.add_parser("run", parents=[one_problem, engine, common],
                    help="single solve, per-iteration records")

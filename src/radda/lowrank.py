@@ -7,29 +7,28 @@ X_k = D_k D_k', Y_k = P_k P_k': each step appends one block to each
 factor, so the widths double, and the only small-scale algebra is the
 Cholesky factorization of a p_k x p_k and an m_k x m_k Gram matrix.
 
-The n-scale work of a step is the chain applied to the factors.  An
-untruncated step reuses the blocks the previous step appended, so it costs
-two depth-(k-1) applies of half width per side, 2 (p + m) 4^(k-1) base
+The n-scale work of a step is the chain applied to the factors.  A step
+reuses the blocks the previous step appended, so it costs two
+depth-(k-1) applies of half width per side, 2 (p + m) 4^(k-1) base
 columns; K doublings from the start then cost (p + m)(1 + (4^K - 4)/6)
-columns in all.  The factors' own blocks select this doubled step: those
-that end in the last chain correction's blocks take it, and others, such
-as factors that truncation cut, one depth-k apply per side,
-2^k (p_k + m_k) columns.  A truncation that would cut nothing keeps the
-stepped state as it is, so the next step stays doubled.
+columns in all.  The step has no other path: the doubling never cuts its
+factors, and a k >= 1 state whose factors do not end in the last chain
+correction's own blocks is refused.  truncate_tol cuts only the factor a
+solve returns.
 
 The n-scale memory is the factors themselves.  D and P are tuples of
 column blocks, one per step, so a step appends its new blocks without
 copying the old ones; each chain correction is those two blocks and a
-small coupling, so past the shifted LU an untruncated state holds only
-blocks of D and P.  The factored residual streams the rows of its basis
-through a QR, so it holds one row block of that basis beside A'D.
+small coupling, so past the shifted LU a state holds only blocks of D
+and P.  The factored residual streams the rows of its basis through a
+QR, so it holds one row block of that basis beside A'D.
 
 drive is the one run path of both engines and of the CLI's compare: it
 picks the shift, builds the k = 0 operator and doubles under the shared
 stopping rule.
 
 radda_solve adds a Galerkin finish.  The blocks the doubling appended
-to D, uncut, span a rational Krylov space with its pole repeated at the
+to D span a rational Krylov space with its pole repeated at the
 shift that holds range(D_k), and the Galerkin solution of the Riccati
 equation projected on [C', V, A'V], V those blocks (the projection step
 of RKSM and of extended block Arnoldi), often meets tol a doubling or
@@ -37,11 +36,11 @@ more before the iterate does.  It is tried at each iterate with
 residual at most 1e4 tol, and at one with residual at most 1e6 tol when
 the quadratic model res_k^3 / res_(k-1)^2 says the next iterate still
 misses tol, so that a pass saves at least two doublings; always only
-while the iterate's own basis has p + 2r <= n/4 columns.  The factor it
-returns replaces the iterate when it stabilizes the projected closed
-loop and its own factored residual is at most tol; otherwise the
-doubling goes on.  On the 32 x 32 convection-diffusion grid (tol 1e-10,
-truncation 1e-13) it passes at k = 5, where the iterate alone needs
+while the iterate cut at truncate_tol has p + 2r <= n/4 basis columns.
+The factor it returns replaces the iterate when it stabilizes the
+projected closed loop and its own factored residual is at most tol;
+otherwise the doubling goes on.  On the 32 x 32 convection-diffusion
+grid (tol 1e-10, truncation 1e-13) it passes at k = 5, where the iterate alone needs
 k = 7, at a residual of about 1e-12 and rank 21, and the solve takes
 about 0.04 s (one BLAS thread).  The paper's second family at n = 3e5
 (k = 2 residual 2.2e-7, model 4.6e-14) and dense n = 256 instances (132
@@ -104,13 +103,10 @@ class RaddaState:
     The operator ahat_k is the base operator followed by chain, the
     tuple of k = len(chain) thin corrections (F_j, K_j, V_j) that
     apply_ahat reads; a step appends one and never rebuilds the base.
-    F_j and V_j are the blocks step j appended to P and D, held once.
-    A state whose factors end in the last correction's own blocks,
-    P[-1] is F_k and D[-1] is V_k, is taken to be that step's output, and
-    the next step halves its applies on it (radda_step), also when a
-    truncation that cut nothing passed it on; a truncation that cuts, a
-    rotation or a hand-built state gives factors with other blocks, and
-    the full-depth step.
+    F_j and V_j are the blocks step j appended to P and D, held once, so
+    a stepped state's factors end in its last correction's own blocks,
+    P[-1] is F_k and D[-1] is V_k, and radda_step steps only such states
+    (at k >= 1).
     """
 
     D: tuple
@@ -193,32 +189,27 @@ def radda_step(state: RaddaState) -> RaddaState:
     rounding swamps the identity, and that, a non-finite W or Gram
     matrix, or a non-finite operator apply raises BreakdownError.
 
-    When the factors end in the last correction's own blocks, (F, K_k, V)
-    = chain[-1] with F = P[-1] and V = D[-1], W's leading block is the
-    last step's D'P bit for bit, its Cholesky factors (M_x, M_y) are that
-    step's (L_x, L_y), and with prev = ahat_{k-1},
+    At k = 0 the applies are the base operator's.  At k >= 1 the factors
+    end in the last correction's own blocks, (F, K_k, V) = chain[-1] with
+    F = P[-1] and V = D[-1] (any other state raises ValueError once the
+    Gram checks pass); then W's leading block is the last step's D'P bit
+    for bit, its Cholesky factors (M_x, M_y) are that step's (L_x, L_y),
+    and with prev = ahat_{k-1},
 
         ahat' D = [S M_x', prev' S] + V K_k' (D'F)',      S = prev' V,
         ahat P  = [T M_y', prev T]  + F K_k (V'P),        T = prev F,
 
     so each side takes two depth-(k-1) applies of half width in place of
     one depth-k apply, and D'F and V'P are W's last column and row blocks.
-    Other states apply the depth-k chain directly, to the factors
-    concatenated once.
     """
     D, P, base, chain = state.D, state.P, state.base, state.chain
     k = state.k
-    doubled = bool(chain) and D[-1] is chain[-1][2] and P[-1] is chain[-1][0]
     with np.errstate(over="ignore", invalid="ignore"):
         W = np.block([[d.T @ f for f in P] for d in D])
     if not np.all(np.isfinite(W)):
         raise BreakdownError(f"D'P is non-finite at iteration {k}", k=k)
-    # explicit offsets: a zero-width block gives an empty slice
-    row, col = W.shape[0] - D[-1].shape[1], W.shape[1] - P[-1].shape[1]
     try:
         L_x, L_y = _gram_factors(W)
-        if doubled:
-            M_x, M_y = _gram_factors(W[:row, :col])
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise BreakdownError(
             f"no Cholesky factor of a Gram matrix at iteration {k}: {exc}",
@@ -228,16 +219,22 @@ def radda_step(state: RaddaState) -> RaddaState:
     # An overflowing apply is named below as a breakdown, so the inf it
     # feeds to the rest of the chain raises no warning on the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        if doubled:
-            prev = chain[:-1]
+        if not chain:
+            N_x = apply_ahat(base, chain, _joined(D), transposed=True)
+            N_y = apply_ahat(base, chain, _joined(P))
+        else:
             F, K_k, V = chain[-1]
+            if D[-1] is not V or P[-1] is not F:
+                raise ValueError(f"the factors of a k = {k} state do not "
+                                 "end in its last correction's own blocks")
+            # explicit offsets: a zero-width block gives an empty slice
+            row, col = W.shape[0] - V.shape[1], W.shape[1] - F.shape[1]
+            M_x, M_y = _gram_factors(W[:row, :col])
+            prev = chain[:-1]
             N_x = _first_two_powers(base, prev, V, M_x, transposed=True)
             N_x += V @ (K_k.T @ W[:, col:].T)
             N_y = _first_two_powers(base, prev, F, M_y, transposed=False)
             N_y += F @ (K_k @ W[row:])
-        else:
-            N_x = apply_ahat(base, chain, _joined(D), transposed=True)
-            N_y = apply_ahat(base, chain, _joined(P))
     if not (np.all(np.isfinite(N_x)) and np.all(np.isfinite(N_y))):
         raise BreakdownError(
             f"an operator apply is non-finite at iteration {k}", k=k)
@@ -420,8 +417,8 @@ def _galerkin_factor(problem: CareProblem, blocks: tuple, cutoff: float):
     the span of [C', V, A'V], with the number of basis columns kept; the
     factor is None when the small equation fails.
 
-    blocks are n-row column blocks V whose span holds the iterate's
-    range.  The basis columns are scaled to unit length and
+    blocks are the iterate's own D: the base block and the block each
+    step appended.  The basis columns are scaled to unit length and
     orthonormalized by a column-pivoted QR that keeps the directions
     whose diagonal entry exceeds _BASIS_CUTOFF of the first, giving Q.
     The projected equation with coefficients (Q'AQ, Q'B, CQ) is solved by
@@ -492,26 +489,26 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         Iteration budget; exceeding it returns with termination
         "max-iterations" rather than raising.
     truncate_tol : float
-        Relative eigenvalue cutoff for per-step factor recompression, in
-        [0, 1).  0 (default) disables truncation and the factor widths
-        double exactly each step.  A step whose recompression would drop
-        no column keeps its factors as stepped, so the next step takes
-        the doubled path; a step that drops a column leaves each factor
-        as one recompressed block, and the next step applies the
-        full-depth chain.  It also cuts the eigenvalues of the Galerkin
-        finish's small solution (rounding level when 0); the finish
-        projects on the blocks the steps appended before any cut.
+        Relative eigenvalue cutoff, in [0, 1), of the returned factor
+        (0, the default, cuts nothing); the doubling itself never cuts.
+        A converged iterate is cut once by truncate_factors, and the cut
+        is returned, its residual and width in the last history rows,
+        when it drops a column and its own residual is at most tol.  A
+        Galerkin finish cuts its small solution's eigenvalues at
+        truncate_tol (rounding level when 0), and the finish's n/4 guard
+        reads the cut iterate's width.
 
     Returns
     -------
     (LowRankSymmetric, SolveReport)
         The Cholesky factor F of the solution X = F F' and the run
-        bookkeeping.  F is the last iterate's D, or, when a Galerkin
-        finish (see the module docstring) passed tol, the factor of the
-        Galerkin solution on the blocks the doubling appended up to that
-        iterate; report.returned says which ("iterate" or "galerkin"),
-        and report.attempts lists every attempt.  Each attempt also
-        writes one debug line to the "radda" logger.
+        bookkeeping.  F is the last iterate's D, or its cut (see
+        truncate_tol), or, when a Galerkin finish (see the module
+        docstring) passed tol, the factor of the Galerkin solution on the
+        blocks the doubling appended up to that iterate; report.returned
+        says which ("iterate" or "galerkin"), and report.attempts lists
+        every attempt.  Each attempt also writes one debug line to the
+        "radda" logger.
 
     Raises
     ------
@@ -527,38 +524,25 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         report in .report.
     """
     _check_truncate_tol(truncate_tol)
-
-    def truncated_step(state):
-        # a cut that drops no column would only rotate the factors: the
-        # stepped state is kept instead, so its blocks still select the
-        # doubled step
-        state = radda_step(state)
-        D = truncate_factors(_joined(state.D), truncate_tol)
-        P = truncate_factors(_joined(state.P), truncate_tol)
-        if D.shape[1] == state.rank_x and P.shape[1] == state.rank_y:
-            return state
-        return replace(state, D=(D,), P=(P,))
-
     qn = _qnorm_of(problem)
 
     def finish(state, report):
-        # attempt while the iterate's basis [C', D, A'D] is narrow next to
-        # n, at a residual near tol or at one from which the quadratic
-        # model sees the next doubling still miss it
+        # attempt while the basis [C', D, A'D] of the iterate's cut factor
+        # is narrow next to n, at a residual near tol or at one from which
+        # the quadratic model sees the next doubling still miss it
         history = report.residual_history
         res = history[-1][1]
         if not (res <= _GALERKIN_WINDOW * tol or (
                 res <= _GALERKIN_REACH * tol and len(history) > 1
                 and res * (res / history[-2][1]) ** 2 > tol)):
             return None
-        if problem.p + 2 * state.rank_x > problem.n / 4:
+        # the join copies D, so only when there is a cut to measure
+        width = state.rank_x if truncate_tol == 0.0 else \
+            truncate_factors(_joined(state.D), truncate_tol).shape[1]
+        if problem.p + 2 * width > problem.n / 4:
             return None
         t0 = perf_counter()
-        # the blocks each step appended before any cut: the iterate's own
-        # blocks when nothing was cut, and a span holding range(D) if not
-        F, columns = _galerkin_factor(
-            problem, (state.base.D, *(V for _, _, V in state.chain)),
-            truncate_tol)
+        F, columns = _galerkin_factor(problem, state.D, truncate_tol)
         res_f = None if F is None else residual_lowrank(problem, F, qn)
         attempt = FinishAttempt(k=state.k, columns=columns,
                                 residual=res_f,
@@ -575,10 +559,21 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         return replace(state, D=(F,)), res_f
 
     state, report = drive(
-        problem, alpha, init_lowrank,
-        truncated_step if truncate_tol > 0.0 else radda_step,
+        problem, alpha, init_lowrank, radda_step,
         lambda s: residual_lowrank(problem, s.D, qn),
         lambda s: (s.rank_x, s.rank_y), tol, maxit, finish)
     D = state.D
     del state   # the operator and P go first, for the join to reuse
-    return LowRankSymmetric(_joined(D)), report
+    F = _joined(D)
+    if (truncate_tol > 0.0 and report.termination == "converged"
+            and report.returned == "iterate"):
+        # one cut of the converged iterate, kept if it still meets tol
+        cut = truncate_factors(F, truncate_tol)
+        if cut.shape[1] < F.shape[1]:
+            res = residual_lowrank(problem, cut, qn)
+            if res <= tol:
+                k, _, rank_y = report.rank_history[-1]
+                report.residual_history[-1] = (k, res)
+                report.rank_history[-1] = (k, cut.shape[1], rank_y)
+                F = cut
+    return LowRankSymmetric(F), report

@@ -155,11 +155,12 @@ class SolveReport:
     finish on the blocks the doubling appended up to that iterate.  A
     Galerkin finish adds one final row at the same k to all three lists:
     its residual, the width of the returned factor beside the iterate's Y
-    width, and the time of the finish.  The last residual is then that of
-    the returned solution; iterations, the k of the last row (0 before
-    any), is the iterate's.  attempts holds one FinishAttempt per
-    Galerkin attempt, passed or failed, in order; the dense engine makes
-    none.
+    width, and the time of the finish; a returned cut of the iterate
+    (truncate_tol) puts its residual and X width in the last row instead.
+    The last residual is then that of the returned solution; iterations,
+    the k of the last row (0 before any), is the iterate's.  attempts
+    holds one FinishAttempt per Galerkin attempt, passed or failed, in
+    order; the dense engine makes none.
     """
 
     alpha: float | None = None

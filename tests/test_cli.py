@@ -144,6 +144,20 @@ class TestRun:
         assert code == EXIT_OK
         assert "termination=converged" in err
 
+    def test_json_reports_truncation_cutoff(self, capsys):
+        # the last row's rank_x is the width of the factor cut at the
+        # reported cutoff; without a cutoff it is the iterate's own width
+        ranks = {}
+        for cutoff in ("0", "1e-14"):
+            code, out, _ = run_main(
+                capsys, ["run", "--example", "1", "--n", "64",
+                         "--truncate-tol", cutoff, "--format", "json"])
+            assert code == EXIT_OK
+            doc = json.loads(out)
+            assert doc["truncate_tol"] == float(cutoff)
+            ranks[cutoff] = doc["rows"][-1]["rank_x"]
+        assert ranks == {"0": 8, "1e-14": 7}
+
     def test_budget_exhausted_is_exit_1(self, capsys):
         code, out, _ = run_main(
             capsys, ["run", "--example", "1", "--n", "32",

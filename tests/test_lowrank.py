@@ -8,6 +8,7 @@ import logging
 import tracemalloc
 import warnings
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -211,36 +212,21 @@ class TestBaseSolveColumns:
         assert report.iterations == K
         assert cols[0] == expected == (p.p + p.m) * (1 + (4 ** K - 4) // 6)
 
-    @staticmethod
-    def truncated_law(rows):
-        """Base columns of a truncated run's steps, one from each of rows
-        but the last.  A step from a state that truncation cut nothing
-        from (its widths exactly double the row before) takes the doubled
-        path, two depth-(k-1) applies per side at half width,
-        2^(k-1) (r_x + r_y); any other step, the first among them, one
-        depth-k apply per side, 2^k (r_x + r_y)."""
-        total = 0
-        for (_, rx0, ry0), (k, rx, ry) in zip([(0, 0, 0)] + rows, rows[:-1]):
-            uncut = k >= 1 and (rx, ry) == (2 * rx0, 2 * ry0)
-            total += 2 ** k * (rx + ry) // (2 if uncut else 1)
-        return total
-
     def test_truncated_run(self, cols):
-        # truncation cuts nothing on the steps to k = 1 and 2, so the
-        # steps from them take the doubled path: 22 columns, where full
-        # depth-k applies would take 42
+        # the doubling steps its own uncut blocks, so a truncated run
+        # takes the untruncated law's 22 columns; only the factor it
+        # returns is cut, here from 8 columns to 6
         _, report = radda_solve(make_example1(2000), alpha=17.0,
                                 truncate_tol=1e-13)
         assert report.termination == "converged"
         assert report.rank_history == [(0, 1, 1), (1, 2, 2), (2, 4, 4),
-                                       (3, 6, 6)]
-        assert cols[0] == self.truncated_law(report.rank_history) == 22
+                                       (3, 6, 8)]
+        assert cols[0] == (1 + 1) * (1 + (4 ** 3 - 4) // 6) == 22
 
     def test_galerkin_finished_run(self, cols):
         # the finish makes no base apply, so the columns are those of the
         # doublings up to the iterate it finishes: five doublings, where
-        # the iterate alone needs six.  Truncation cuts nothing until
-        # k = 4, so only the step from k = 4 applies the full depth
+        # the iterate alone needs six, each by the untruncated law
         p = convection_diffusion_problem(np.random.default_rng(0), 16)
         alpha = choose_alpha(p)
         cols[0] = 0
@@ -249,101 +235,28 @@ class TestBaseSolveColumns:
         assert report.returned == "galerkin"
         rows = report.rank_history[:-1]
         assert [k for k, _, _ in rows] == list(range(6))
-        assert cols[0] == self.truncated_law(rows) == 582
-
-    def test_uncut_truncation_keeps_the_doubled_step(self, cols,
-                                                     monkeypatch):
-        # a truncated step that cuts nothing hands radda_step's state on
-        # as it is, so the next step takes the doubled path to the same
-        # iterate as the depth-k path; a step that cuts joins each factor
-        # into one block
-        import radda.lowrank as lowrank_mod
-        steps = []
-        step = lowrank_mod.radda_step
-
-        def recorded(state):
-            steps.append((state, step(state)))
-            return steps[-1][1]
-
-        monkeypatch.setattr(lowrank_mod, "radda_step", recorded)
-        p = convection_diffusion_problem(np.random.default_rng(0), 8)
-        _, report = lowrank_mod.radda_solve(p, alpha=choose_alpha(p),
-                                            tol=1e-10, truncate_tol=1e-13)
-        assert report.rank_history == [(0, 1, 1), (1, 2, 2), (2, 4, 4),
-                                       (3, 8, 8), (4, 13, 12), (5, 13, 12)]
-        # steps[j] is the state the step to k = j + 1 took and returned
-        for (_, stepped), (taken, _) in zip(steps[:3], steps[1:4]):
-            assert taken is stepped
-            assert taken.D[-1] is taken.chain[-1][2]
-            assert taken.P[-1] is taken.chain[-1][0]
-        cut = steps[4][0]
-        assert len(cut.D) == len(cut.P) == 1
-        assert (cut.rank_x, cut.rank_y) == (13, 12)
-
-        s = steps[3][0]
-        assert s.k == 3 and len(s.D) == len(s.P) == 4
-        cols[0] = 0
-        doubled = step(s)
-        assert cols[0] == 2 * (p.p + p.m) * 4 ** (s.k - 1) == 64
-        full = step(RaddaState((np.hstack(s.D),), (np.hstack(s.P),), s.base,
-                               s.chain))
-        for got, want in ((full.D, doubled.D), (full.P, doubled.P)):
-            got, want = np.hstack(got), np.hstack(want)
-            assert np.linalg.norm(got - want) <= \
-                1e-12 * np.linalg.norm(want)
-
-    def test_joined_factors_take_depth_k_path(self, cols):
-        # the blocks select the doubled step, and a state keeps nothing
-        # else beside them: the same factors joined into one block each
-        # take the depth-k path, 2^k (r_x + r_y) columns, to the same
-        # iterate
-        assert [f.name for f in dataclasses.fields(RaddaState)] == \
-            ["D", "P", "base", "chain"]
-        p = make_example2(64)
-        s = lowrank_state(p, _norm_shift(p))
-        for _ in range(3):
-            s = radda_step(s)
-        joined = RaddaState((np.hstack(s.D),), (np.hstack(s.P),), s.base,
-                            s.chain)
-        assert joined.k == s.k == 3
-        cols[0] = 0
-        doubled = radda_step(s)
-        assert cols[0] == 2 * (p.p + p.m) * 4 ** (s.k - 1) == 64
-        cols[0] = 0
-        full = radda_step(joined)
-        assert cols[0] == 2 ** s.k * (s.rank_x + s.rank_y) == 128
-        assert full.k == doubled.k == 4
-        for got, want in ((full.D, doubled.D), (full.P, doubled.P),
-                          ((full.chain[-1][1],), (doubled.chain[-1][1],))):
-            got, want = np.hstack(got), np.hstack(want)
-            assert np.linalg.norm(got - want) <= \
-                1e-12 * np.linalg.norm(want)
+        assert cols[0] == (p.p + p.m) * (1 + (4 ** 5 - 4) // 6) == 342
 
 
 class TestModifiedFactors:
-    @pytest.mark.parametrize("make, alpha", [
-        (lambda: make_example2(24), 18.0),
-        (uneven_problem, None),
-    ])
-    def test_step_from_rotated_factors(self, make, alpha):
-        p = make()
-        alpha = choose_alpha(p) if alpha is None else alpha
-        lr = lowrank_state(p, alpha)
-        dn = dense_state(p, alpha)
+    def test_step_refuses_other_factors(self):
+        # a state is its blocks, base and chain, nothing else; a k >= 1
+        # step applies only the doubled path, so factors that do not end
+        # in the last correction's own blocks, joined or rotated, are
+        # refused before any apply
+        assert [f.name for f in dataclasses.fields(RaddaState)] == \
+            ["D", "P", "base", "chain"]
+        p = make_example2(24)
+        lr = lowrank_state(p, 18.0)
         for _ in range(2):
             lr = radda_step(lr)
-            dn = adda_step_dense(dn)
-        # as stepped, the factors end in the last correction's blocks and
-        # would take the doubled path; rotated, they must not
         assert lr.D[-1] is lr.chain[-1][2] and lr.P[-1] is lr.chain[-1][0]
         rng = np.random.default_rng(7)
-        D, P = rotate(np.hstack(lr.D), rng), rotate(np.hstack(lr.P), rng)
-        lr = radda_step(RaddaState((D,), (P,), lr.base, lr.chain))
-        dn = adda_step_dense(dn)
-        assert lr.rank_x == 8 * p.p and lr.rank_y == 8 * p.m
-        for got, want in ((reconstruct_x(lr), dn.X), (reconstruct_y(lr), dn.Y)):
-            assert np.linalg.norm(got - want, "fro") <= \
-                1e-10 * np.linalg.norm(want, "fro")
+        D, P = np.hstack(lr.D), np.hstack(lr.P)
+        for other in ((D,), (P,)), ((rotate(D, rng),), (rotate(P, rng),)):
+            with pytest.raises(ValueError, match="own blocks"):
+                radda_step(RaddaState(*other, base=None, chain=lr.chain))
+        assert radda_step(lr).k == 3
 
     def test_width_preserving_truncation_in_solve(self, monkeypatch):
         # a recompression that keeps every column would only rotate the
@@ -606,6 +519,32 @@ class TestSolve:
         full_last = full_report.rank_history[-1]
         assert last[1] <= full_last[1] and last[2] <= full_last[2]
 
+    def test_truncation_cuts_the_returned_factor_once(self):
+        # the converged k = 3 iterate has width 8; its cut at 1e-14 keeps
+        # 7 columns and still meets tol, so the last row carries the
+        # cut's own residual and width beside the uncut Y width
+        p = make_example1(64)
+        x, report = radda_solve(p, truncate_tol=1e-14)
+        assert report.termination == "converged"
+        assert report.returned == "iterate"
+        assert report.rank_history[-1] == (3, 7, 8) and x.rank == 7
+        res = report.residual_history[-1]
+        assert res[0] == 3 and res[1] <= 1e-12
+        assert residual_lowrank(p, x.F) == res[1]
+
+    def test_truncated_plateau_input_converges(self):
+        # the steps never cut, so this input no longer plateaus at 9.5e-8
+        # with each step applying the whole chain; the 1e-6 cut of the
+        # k = 4 iterate misses tol, so the uncut width-16 factor returns
+        t0 = perf_counter()
+        x, report = radda_solve(make_example2(1000), truncate_tol=1e-6,
+                                maxit=12)
+        assert perf_counter() - t0 < 1.0
+        assert report.termination == "converged"
+        assert report.iterations == 4
+        assert x.rank == 16 == report.rank_history[-1][1]
+        assert report.residual_history[-1][1] <= 1e-12
+
     def test_iterates_monotone_psd(self):
         p = make_example2(32)
         s = lowrank_state(p, choose_alpha(p))
@@ -848,25 +787,34 @@ class TestGalerkinFinish:
         assert report.attempts[0].residual <= 1e-10
 
     def test_truncated_run_projects_on_the_chain_blocks(self, monkeypatch):
-        # truncation cuts D to 17 columns at k = 5, but the finish takes
-        # the blocks each step appended before the cut: the base block
-        # and one block per step, each as wide as the factor it was
-        # stepped from, 32 columns in all
+        # the finish projects on the iterate's own uncut blocks, the base
+        # block and one block per step, 32 columns at k = 5; the n/4
+        # guard reads the width of the factor cut at truncate_tol, 17,
+        # which admits the attempt where the uncut 1 + 2 * 32 = 65 > 64
+        # would not
         import radda.lowrank as lowrank_mod
-        widths = []
-        orig = lowrank_mod._galerkin_factor
+        widths, cuts = [], []
+        orig, cut = lowrank_mod._galerkin_factor, lowrank_mod.truncate_factors
 
         def spy(problem, blocks, cutoff):
             widths.append([block.shape[1] for block in blocks])
             return orig(problem, blocks, cutoff)
 
+        def cut_spy(D, tol):
+            out = cut(D, tol)
+            cuts.append((D.shape[1], out.shape[1]))
+            return out
+
         monkeypatch.setattr(lowrank_mod, "_galerkin_factor", spy)
-        _, report = radda_solve(self.grid(), **self.KW)
+        monkeypatch.setattr(lowrank_mod, "truncate_factors", cut_spy)
+        p = self.grid()
+        _, report = radda_solve(p, **self.KW)
         rx = [r for _, r, _ in report.rank_history[:-1]]
-        assert rx == [1, 2, 4, 8, 16, 17]
+        assert rx == [1, 2, 4, 8, 16, 32]
         assert [a.k for a in report.attempts] == [4, 5]
-        assert widths == [[1] + rx[:4], [1] + rx[:5]]
-        assert sum(widths[-1]) == 32 > rx[-1]
+        assert widths == [[1, 1, 2, 4, 8], [1, 1, 2, 4, 8, 16]]
+        assert cuts[-1] == (32, 17)
+        assert p.p + 2 * rx[-1] > p.n / 4
         # the pivoted QR keeps at most the p + 2 * 32 columns of the basis
         assert 0 < report.attempts[-1].columns <= 1 + 2 * 32
 
