@@ -238,25 +238,55 @@ class TestBaseSolveColumns:
         assert cols[0] == (p.p + p.m) * (1 + (4 ** 5 - 4) // 6) == 342
 
 
-class TestModifiedFactors:
-    def test_step_refuses_other_factors(self):
+    def test_joined_factors_are_refused(self, cols):
         # a state is its blocks, base and chain, nothing else; a k >= 1
-        # step applies only the doubled path, so factors that do not end
-        # in the last correction's own blocks, joined or rotated, are
-        # refused before any apply
+        # step applies only the doubled path, so the same factors joined
+        # into one block each are refused before any base apply, and the
+        # state as stepped takes the doubled step's 2 (p+m) 4^(k-1)
         assert [f.name for f in dataclasses.fields(RaddaState)] == \
             ["D", "P", "base", "chain"]
-        p = make_example2(24)
-        lr = lowrank_state(p, 18.0)
+        p = make_example2(64)
+        s = lowrank_state(p, _norm_shift(p))
+        for _ in range(3):
+            s = radda_step(s)
+        joined = RaddaState((np.hstack(s.D),), (np.hstack(s.P),), s.base,
+                            s.chain)
+        assert joined.k == s.k == 3
+        cols[0] = 0
+        with pytest.raises(ValueError, match="own blocks"):
+            radda_step(joined)
+        assert cols[0] == 0
+        assert radda_step(s).k == 4
+        assert cols[0] == 2 * (p.p + p.m) * 4 ** (s.k - 1) == 64
+
+
+class TestModifiedFactors:
+    @pytest.mark.parametrize("make, alpha", [
+        (lambda: make_example2(24), 18.0),
+        (uneven_problem, None),
+    ])
+    def test_step_from_rotated_factors(self, make, alpha):
+        # rotated factors keep X and Y but not the last correction's own
+        # blocks, so the step refuses them; the state as stepped takes
+        # the doubled step and stays in lockstep with the dense iterate
+        p = make()
+        alpha = choose_alpha(p) if alpha is None else alpha
+        lr = lowrank_state(p, alpha)
+        dn = dense_state(p, alpha)
         for _ in range(2):
             lr = radda_step(lr)
+            dn = adda_step_dense(dn)
         assert lr.D[-1] is lr.chain[-1][2] and lr.P[-1] is lr.chain[-1][0]
         rng = np.random.default_rng(7)
-        D, P = np.hstack(lr.D), np.hstack(lr.P)
-        for other in ((D,), (P,)), ((rotate(D, rng),), (rotate(P, rng),)):
-            with pytest.raises(ValueError, match="own blocks"):
-                radda_step(RaddaState(*other, base=None, chain=lr.chain))
-        assert radda_step(lr).k == 3
+        D, P = rotate(np.hstack(lr.D), rng), rotate(np.hstack(lr.P), rng)
+        with pytest.raises(ValueError, match="own blocks"):
+            radda_step(RaddaState((D,), (P,), lr.base, lr.chain))
+        lr = radda_step(lr)
+        dn = adda_step_dense(dn)
+        assert lr.rank_x == 8 * p.p and lr.rank_y == 8 * p.m
+        for got, want in ((reconstruct_x(lr), dn.X), (reconstruct_y(lr), dn.Y)):
+            assert np.linalg.norm(got - want, "fro") <= \
+                1e-10 * np.linalg.norm(want, "fro")
 
     def test_width_preserving_truncation_in_solve(self, monkeypatch):
         # a recompression that keeps every column would only rotate the
