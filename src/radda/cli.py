@@ -219,7 +219,8 @@ def cmd_sweep(args, sizes: list, alphas: list) -> int:
     if args.fmt == "csv":
         _emit(_csv(SWEEP_HEADER, rows), args.out)
     else:
-        meta = {"command": "sweep", "mode": args.mode, "tol": args.tol}
+        meta = {"command": "sweep", "mode": args.mode, "tol": args.tol,
+                "truncate_tol": args.truncate_tol}
         _emit(_json_doc(meta, SWEEP_HEADER.split(","), rows), args.out)
     _info(f"sweep: {len(rows)} runs, "
           f"{sum(1 for r in rows if r[5] == 'converged')} converged")

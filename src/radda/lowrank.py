@@ -12,16 +12,14 @@ reuses the blocks the previous step appended, so it costs two
 depth-(k-1) applies of half width per side, 2 (p + m) 4^(k-1) base
 columns; K doublings from the start then cost (p + m)(1 + (4^K - 4)/6)
 columns in all.  The step has no other path: the doubling never cuts its
-factors, and a k >= 1 state whose factors do not end in the last chain
-correction's own blocks is refused.  truncate_tol cuts only the factor a
-solve returns.
+factors, and truncate_tol cuts only the factor a solve returns.
 
-The n-scale memory is the factors themselves.  D and P are tuples of
-column blocks, one per step, so a step appends its new blocks without
-copying the old ones; each chain correction is those two blocks and a
-small coupling, so past the shifted LU a state holds only blocks of D
-and P.  The factored residual streams the rows of its basis through a
-QR, so it holds one row block of that basis beside A'D.
+The n-scale memory is the factors themselves.  A state is its base
+operator and chain alone, each chain correction the two blocks its step
+appended and a small coupling, and D and P are read off the pair as
+tuples of those blocks: past the shifted LU a state holds only blocks of
+D and P, never copied.  The factored residual streams the rows of its
+basis through a QR, so it holds one row block of that basis beside A'D.
 
 drive is the one run path of both engines and of the CLI's compare: it
 picks the shift, builds the k = 0 operator and doubles under the shared
@@ -37,12 +35,12 @@ residual at most 1e4 tol, and at one with residual at most 1e6 tol when
 the quadratic model res_k^3 / res_(k-1)^2 says the next iterate still
 misses tol, so that a pass saves at least two doublings; always only
 while the iterate cut at truncate_tol has p + 2r <= n/4 basis columns.
-The factor it returns replaces the iterate when it stabilizes the
+Its factor is returned in place of the iterate when it stabilizes the
 projected closed loop and its own factored residual is at most tol;
 otherwise the doubling goes on.  On the 32 x 32 convection-diffusion
-grid (tol 1e-10, truncation 1e-13) it passes at k = 5, where the iterate alone needs
-k = 7, at a residual of about 1e-12 and rank 21, and the solve takes
-about 0.04 s (one BLAS thread).  The paper's second family at n = 3e5
+grid (tol 1e-10, truncation 1e-13) it passes at k = 5, where the iterate
+alone needs k = 7, at a residual of about 1e-12 and rank 21, and the
+solve takes about 0.04 s (one BLAS thread).  The paper's second family at n = 3e5
 (k = 2 residual 2.2e-7, model 4.6e-14) and dense n = 256 instances (132
 basis columns at k = 4) make no attempt.
 """
@@ -51,7 +49,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -93,26 +91,28 @@ def apply_ahat(base: BaseDoublingOperator, chain: tuple, Z: np.ndarray,
 
 @dataclass(frozen=True)
 class RaddaState:
-    """One factored iterate: X_k = D D', Y_k = P P' and the depth-k
-    doubling operator.  D and P are tuples of n-row column blocks whose
-    concatenations are the Cholesky factors; the factors are all a state
-    keeps of the iterate, a step forms the cross-Gram D'P itself, and no
-    block of a state is written after it is built (at k = 0, D and P are
-    the base operator's single blocks).
+    """One factored iterate X_k = D D', Y_k = P P' and its depth-k
+    doubling operator, held as the base operator and chain alone.
 
-    The operator ahat_k is the base operator followed by chain, the
-    tuple of k = len(chain) thin corrections (F_j, K_j, V_j) that
-    apply_ahat reads; a step appends one and never rebuilds the base.
-    F_j and V_j are the blocks step j appended to P and D, held once, so
-    a stepped state's factors end in its last correction's own blocks,
-    P[-1] is F_k and D[-1] is V_k, and radda_step steps only such states
-    (at k >= 1).
+    chain is the tuple of k = len(chain) thin corrections (F_j, K_j, V_j)
+    that apply_ahat reads after the base; a step appends one and never
+    rebuilds the base.  F_j and V_j are the blocks step j appended to P
+    and D, so the factors are read off the pair, D = (base.D, V_1, ...,
+    V_k) and P = (base.P, F_1, ..., F_k): tuples of n-row column blocks
+    whose concatenations are the Cholesky factors, never written after
+    they are built.
     """
 
-    D: tuple
-    P: tuple
     base: BaseDoublingOperator
     chain: tuple
+
+    @property
+    def D(self) -> tuple:
+        return (self.base.D, *(V for _, _, V in self.chain))
+
+    @property
+    def P(self) -> tuple:
+        return (self.base.P, *(F for F, _, _ in self.chain))
 
     @property
     def k(self) -> int:
@@ -136,10 +136,9 @@ def _joined(blocks: tuple) -> np.ndarray:
 def init_lowrank(op: BaseDoublingOperator) -> RaddaState:
     """The factored k = 0 iterate X0 = D D', Y0 = P P' on the base
     operator op (build_shifted), which already holds both factors: the
-    state shares op.D and op.P, as one block each, and does no work of
-    its own.
+    state is op with an empty chain and does no work of its own.
     """
-    return RaddaState(D=(op.D,), P=(op.P,), base=op, chain=())
+    return RaddaState(op, ())
 
 
 def _first_two_powers(base: BaseDoublingOperator, chain: tuple,
@@ -191,9 +190,8 @@ def radda_step(state: RaddaState) -> RaddaState:
 
     At k = 0 the applies are the base operator's.  At k >= 1 the factors
     end in the last correction's own blocks, (F, K_k, V) = chain[-1] with
-    F = P[-1] and V = D[-1] (any other state raises ValueError once the
-    Gram checks pass); then W's leading block is the last step's D'P bit
-    for bit, its Cholesky factors (M_x, M_y) are that step's (L_x, L_y),
+    F = P[-1] and V = D[-1], so W's leading block is the last step's D'P
+    bit for bit, its Cholesky factors (M_x, M_y) are that step's (L_x, L_y),
     and with prev = ahat_{k-1},
 
         ahat' D = [S M_x', prev' S] + V K_k' (D'F)',      S = prev' V,
@@ -220,13 +218,10 @@ def radda_step(state: RaddaState) -> RaddaState:
     # feeds to the rest of the chain raises no warning on the way.
     with np.errstate(over="ignore", invalid="ignore"):
         if not chain:
-            N_x = apply_ahat(base, chain, _joined(D), transposed=True)
-            N_y = apply_ahat(base, chain, _joined(P))
+            N_x = apply_ahat(base, chain, base.D, transposed=True)
+            N_y = apply_ahat(base, chain, base.P)
         else:
             F, K_k, V = chain[-1]
-            if D[-1] is not V or P[-1] is not F:
-                raise ValueError(f"the factors of a k = {k} state do not "
-                                 "end in its last correction's own blocks")
             # explicit offsets: a zero-width block gives an empty slice
             row, col = W.shape[0] - V.shape[1], W.shape[1] - F.shape[1]
             M_x, M_y = _gram_factors(W[:row, :col])
@@ -241,8 +236,7 @@ def radda_step(state: RaddaState) -> RaddaState:
     N_x = _times_inv_lt(N_x, L_x)
     N_y = _times_inv_lt(N_y, L_y)
     K = sla.solve_triangular(L_y, W.T @ L_x, lower=True)
-    return RaddaState(D=(*D, N_x), P=(*P, N_y), base=base,
-                      chain=chain + ((N_y, np.negative(K, out=K), N_x),))
+    return RaddaState(base, chain + ((N_y, np.negative(K, out=K), N_x),))
 
 
 #: rows of the residual's basis that one QR of its streamed
@@ -356,10 +350,10 @@ def drive(problem: CareProblem, alpha: float | None, start, step,
 
     finish, when given, is called as finish(state, report) on each
     iterate whose residual, the last of report.residual_history, is
-    above tol.  It returns None to go on doubling, or (solution, its
-    residual) with that residual at most tol, which ends the run: the
-    solution is returned in place of the iterate, its row is added at the
-    iterate's k and report.returned reads "galerkin".  The time of an
+    above tol.  It returns None to go on doubling, or the residual, at
+    most tol, of a solution it keeps for the caller, which ends the run
+    converged: that residual gets one more row at the iterate's k, with
+    the iterate's ranks, and the iterate is returned.  The time of an
     attempt that returns None counts towards the next step's row.
     """
     if not tol > 0.0:
@@ -389,12 +383,10 @@ def drive(problem: CareProblem, alpha: float | None, start, step,
                 report.termination = "converged"
                 break
             t0 = perf_counter()
-            finished = None if finish is None else finish(state, report)
-            if finished is not None:
-                state, res = finished
+            res = None if finish is None else finish(state, report)
+            if res is not None:
                 record(k, res)
                 report.termination = "converged"
-                report.returned = "galerkin"
                 break
     except BreakdownError as exc:
         report.termination = "breakdown"
@@ -506,9 +498,9 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         truncate_tol), or, when a Galerkin finish (see the module
         docstring) passed tol, the factor of the Galerkin solution on the
         blocks the doubling appended up to that iterate; report.returned
-        says which ("iterate" or "galerkin"), and report.attempts lists
-        every attempt.  Each attempt also writes one debug line to the
-        "radda" logger.
+        says which ("iterate" or "galerkin"), the last rank_history row
+        holds F's width, and report.attempts lists every attempt.  Each
+        attempt also writes one debug line to the "radda" logger.
 
     Raises
     ------
@@ -525,11 +517,14 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
     """
     _check_truncate_tol(truncate_tol)
     qn = _qnorm_of(problem)
+    galerkin = None   # the factor of the finish that passed tol
 
     def finish(state, report):
-        # attempt while the basis [C', D, A'D] of the iterate's cut factor
-        # is narrow next to n, at a residual near tol or at one from which
-        # the quadratic model sees the next doubling still miss it
+        nonlocal galerkin
+        # attempt at a residual near tol, or at one from which the
+        # quadratic model sees the next doubling still miss it, while
+        # p + 2r <= n/4 for the width r of the iterate's cut factor; the
+        # basis [C', D, A'D] itself is built on the uncut blocks
         history = report.residual_history
         res = history[-1][1]
         if not (res <= _GALERKIN_WINDOW * tol or (
@@ -554,9 +549,8 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
                    attempt.seconds)
         if res_f is None or not res_f <= tol:
             return None
-        # the state drive returns, never stepped: its D is the Galerkin
-        # factor, its ranks are the final row's
-        return replace(state, D=(F,)), res_f
+        galerkin, report.returned = F, "galerkin"
+        return res_f
 
     state, report = drive(
         problem, alpha, init_lowrank, radda_step,
@@ -564,7 +558,7 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         lambda s: (s.rank_x, s.rank_y), tol, maxit, finish)
     D = state.D
     del state   # the operator and P go first, for the join to reuse
-    F = _joined(D)
+    F = _joined(D) if galerkin is None else galerkin
     if (truncate_tol > 0.0 and report.termination == "converged"
             and report.returned == "iterate"):
         # one cut of the converged iterate, kept if it still meets tol
@@ -572,8 +566,9 @@ def radda_solve(problem: CareProblem, *, alpha: float | None = None,
         if cut.shape[1] < F.shape[1]:
             res = residual_lowrank(problem, cut, qn)
             if res <= tol:
-                k, _, rank_y = report.rank_history[-1]
-                report.residual_history[-1] = (k, res)
-                report.rank_history[-1] = (k, cut.shape[1], rank_y)
+                report.residual_history[-1] = (report.iterations, res)
                 F = cut
+    # the last row holds the width of the factor returned
+    k, _, rank_y = report.rank_history[-1]
+    report.rank_history[-1] = (k, F.shape[1], rank_y)
     return LowRankSymmetric(F), report

@@ -146,7 +146,8 @@ class TestRun:
 
     def test_json_reports_truncation_cutoff(self, capsys):
         # the last row's rank_x is the width of the factor cut at the
-        # reported cutoff; without a cutoff it is the iterate's own width
+        # reported cutoff; without a cutoff it is the iterate's own width.
+        # A sweep reports the cutoff its runs used too.
         ranks = {}
         for cutoff in ("0", "1e-14"):
             code, out, _ = run_main(
@@ -156,6 +157,11 @@ class TestRun:
             doc = json.loads(out)
             assert doc["truncate_tol"] == float(cutoff)
             ranks[cutoff] = doc["rows"][-1]["rank_x"]
+            code, out, _ = run_main(
+                capsys, ["sweep", "--example", "1", "--sizes", "64",
+                         "--truncate-tol", cutoff, "--format", "json"])
+            assert code == EXIT_OK
+            assert json.loads(out)["truncate_tol"] == float(cutoff)
         assert ranks == {"0": 8, "1e-14": 7}
 
     def test_budget_exhausted_is_exit_1(self, capsys):

@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -115,12 +116,13 @@ class TestStepAlgebra:
 
     @pytest.mark.filterwarnings("error")
     def test_breakdown_raises(self):
-        # hand-built factors on the chain of a real run, with no base
-        # operator: each step stops before any apply, and no overflow or
-        # inf - inf on the way warns
+        # hand-built base factors, on a stub that has no operator, ahead
+        # of the chain of a real run: each step stops before any apply,
+        # and no overflow or inf - inf on the way warns
         s1 = radda_step(lowrank_state(make_example2(3), 18.0))
         chains = {1: s1.chain, 2: radda_step(s1).chain}
-        # an overflowed factor makes W = D'P = [[inf, -inf], [3, 1]]
+        # an overflowed base factor makes W = D'P lead with
+        # [[inf, -inf], [3, 1]]
         inf_D = np.ones((3, 2))
         inf_D[0, 0] = np.inf
         inf_P = np.ones((3, 2))
@@ -129,9 +131,9 @@ class TestStepAlgebra:
         for D, P, k in ((inf_D, inf_P, 2),
                         (big, big, 1),      # finite W, overflowing W W'
                         (huge, huge, 1)):   # W itself overflows
-            bad = RaddaState(D=(D,), P=(P,), base=None, chain=chains[k])
+            stub = SimpleNamespace(D=D, P=P)
             with pytest.raises(BreakdownError) as err:
-                radda_step(bad)
+                radda_step(RaddaState(stub, chains[k]))
             assert err.value.k == k
 
 
@@ -239,23 +241,17 @@ class TestBaseSolveColumns:
 
 
     def test_joined_factors_are_refused(self, cols):
-        # a state is its blocks, base and chain, nothing else; a k >= 1
-        # step applies only the doubled path, so the same factors joined
-        # into one block each are refused before any base apply, and the
-        # state as stepped takes the doubled step's 2 (p+m) 4^(k-1)
+        # a state is its base and chain, nothing else, so its factors are
+        # the chain's own blocks, never joined ones, and a k >= 1 step
+        # takes the doubled step's 2 (p+m) 4^(k-1) base columns
         assert [f.name for f in dataclasses.fields(RaddaState)] == \
-            ["D", "P", "base", "chain"]
+            ["base", "chain"]
         p = make_example2(64)
         s = lowrank_state(p, _norm_shift(p))
         for _ in range(3):
             s = radda_step(s)
-        joined = RaddaState((np.hstack(s.D),), (np.hstack(s.P),), s.base,
-                            s.chain)
-        assert joined.k == s.k == 3
+        assert s.k == 3
         cols[0] = 0
-        with pytest.raises(ValueError, match="own blocks"):
-            radda_step(joined)
-        assert cols[0] == 0
         assert radda_step(s).k == 4
         assert cols[0] == 2 * (p.p + p.m) * 4 ** (s.k - 1) == 64
 
@@ -266,9 +262,9 @@ class TestModifiedFactors:
         (uneven_problem, None),
     ])
     def test_step_from_rotated_factors(self, make, alpha):
-        # rotated factors keep X and Y but not the last correction's own
-        # blocks, so the step refuses them; the state as stepped takes
-        # the doubled step and stays in lockstep with the dense iterate
+        # a state's factors are read off its chain, so no state holds
+        # rotated ones; the state as stepped takes the doubled step and
+        # stays in lockstep with the dense iterate
         p = make()
         alpha = choose_alpha(p) if alpha is None else alpha
         lr = lowrank_state(p, alpha)
@@ -277,10 +273,6 @@ class TestModifiedFactors:
             lr = radda_step(lr)
             dn = adda_step_dense(dn)
         assert lr.D[-1] is lr.chain[-1][2] and lr.P[-1] is lr.chain[-1][0]
-        rng = np.random.default_rng(7)
-        D, P = rotate(np.hstack(lr.D), rng), rotate(np.hstack(lr.P), rng)
-        with pytest.raises(ValueError, match="own blocks"):
-            radda_step(RaddaState((D,), (P,), lr.base, lr.chain))
         lr = radda_step(lr)
         dn = adda_step_dense(dn)
         assert lr.rank_x == 8 * p.p and lr.rank_y == 8 * p.m
@@ -549,18 +541,33 @@ class TestSolve:
         full_last = full_report.rank_history[-1]
         assert last[1] <= full_last[1] and last[2] <= full_last[2]
 
-    def test_truncation_cuts_the_returned_factor_once(self):
+    @pytest.mark.parametrize("make, kwargs, termination, returned, last", [
+        (lambda: make_example2(64), {}, "converged", "iterate", (4, 16, 16)),
         # the converged k = 3 iterate has width 8; its cut at 1e-14 keeps
-        # 7 columns and still meets tol, so the last row carries the
-        # cut's own residual and width beside the uncut Y width
-        p = make_example1(64)
-        x, report = radda_solve(p, truncate_tol=1e-14)
-        assert report.termination == "converged"
-        assert report.returned == "iterate"
-        assert report.rank_history[-1] == (3, 7, 8) and x.rank == 7
-        res = report.residual_history[-1]
-        assert res[0] == 3 and res[1] <= 1e-12
-        assert residual_lowrank(p, x.F) == res[1]
+        # 7 columns and still meets tol, beside the uncut Y width
+        (lambda: make_example1(64), dict(truncate_tol=1e-14), "converged",
+         "iterate", (3, 7, 8)),
+        # the finish at k = 5 returns 17 columns where the iterate has 32
+        (lambda: convection_diffusion_problem(np.random.default_rng(0), 16),
+         dict(tol=1e-10, truncate_tol=1e-13), "converged", "galerkin",
+         (5, 17, 32)),
+        (lambda: make_example1(16), dict(tol=1e-30, maxit=2),
+         "max-iterations", "iterate", (2, 4, 4)),
+    ], ids=["iterate", "cut", "galerkin", "max-iterations"])
+    def test_last_row_is_the_returned_factor(self, make, kwargs, termination,
+                                             returned, last):
+        # whichever factor a solve returns, the last history rows carry
+        # its own residual and X width
+        p = make()
+        x, report = radda_solve(p, **kwargs)
+        assert (report.termination, report.returned) == (termination,
+                                                          returned)
+        assert report.rank_history[-1] == last
+        assert x.rank == report.rank_history[-1][1]
+        assert residual_lowrank(p, x.F) == report.residual_history[-1][1]
+        k, res = report.residual_history[-1]
+        assert k == last[0]
+        assert (res <= kwargs.get("tol", 1e-12)) == (termination == "converged")
 
     def test_truncated_plateau_input_converges(self):
         # the steps never cut, so this input no longer plateaus at 9.5e-8
